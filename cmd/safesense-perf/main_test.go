@@ -162,12 +162,22 @@ func injectRegression(t *testing.T, path, scenario string, factor float64) {
 
 // TestCheckGate is the acceptance scenario end to end: check passes a
 // capture against itself, fails after a synthetic regression is
-// injected, and passes again once the scenario is waived.
+// injected, and passes again once the scenario is waived. Both sides
+// are copies of the committed baseline capture, so the verdicts do not
+// depend on the load of the machine running the test.
 func TestCheckGate(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "baseline.json")
 	freshPath := filepath.Join(dir, "fresh.json")
-	captureTo(t, basePath)
+	data, err := os.ReadFile(filepath.Join("..", "..", "perf", "baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{basePath, freshPath} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Identical capture: PASS.
 	code, out, errOut := runCLI(t, "check", "-baseline", basePath, "-new", basePath)
@@ -178,8 +188,7 @@ func TestCheckGate(t *testing.T) {
 		t.Errorf("self-check output missing PASS:\n%s", out)
 	}
 
-	// Inject a 3x slowdown on one scenario: FAIL with exit 1.
-	captureTo(t, freshPath)
+	// Inject a 3x slowdown on one scenario of the copy: FAIL with exit 1.
 	injectRegression(t, freshPath, "kernel_fft_1024", 3)
 	code, out, _ = runCLI(t, "check", "-baseline", basePath, "-new", freshPath)
 	if code != 1 {

@@ -13,6 +13,7 @@ import (
 
 	"safesense/internal/campaign"
 	"safesense/internal/obs"
+	"safesense/internal/sim"
 )
 
 // TestMetricsEndpoint is the acceptance scenario: after a POST /v1/run,
@@ -266,6 +267,11 @@ func TestNewLoggerFormats(t *testing.T) {
 }
 
 func TestPprofMuxRoutes(t *testing.T) {
+	// A histogram child in the default registry puts a +Inf overflow
+	// bucket into the expvar snapshot.
+	if _, err := sim.Run(sim.Fig2aDoS()); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(pprofMux())
 	defer ts.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
@@ -273,9 +279,31 @@ func TestPprofMuxRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s: status = %d", path, resp.StatusCode)
+		}
+		if path != "/debug/vars" {
+			continue
+		}
+		if !json.Valid(body) {
+			t.Fatalf("/debug/vars is not valid JSON:\n%s", body)
+		}
+		var vars struct {
+			Metrics []json.RawMessage `json:"safesense_metrics"`
+		}
+		if err := json.Unmarshal(body, &vars); err != nil {
+			t.Fatalf("decoding /debug/vars: %v", err)
+		}
+		if len(vars.Metrics) == 0 {
+			t.Error("/debug/vars safesense_metrics is empty")
+		}
+		if !bytes.Contains(body, []byte(`"le":"+Inf"`)) {
+			t.Error("/debug/vars has no +Inf overflow bucket")
 		}
 	}
 }

@@ -155,3 +155,26 @@ func TestFixturesAreOutOfScope(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedModulesAreOutOfScope guards the loader contract that a
+// subdirectory with its own go.mod (the perfbench benchmark harness) is
+// a separate module: `./...` must load without type-checking it, as
+// `go list ./...` does.
+func TestNestedModulesAreOutOfScope(t *testing.T) {
+	loader, err := lint.NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Packages("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("module walk loaded no packages")
+	}
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.RelPath, "perfbench") {
+			t.Errorf("module walk leaked a nested-module package: %s", p.Dir)
+		}
+	}
+}

@@ -288,7 +288,8 @@ func (l *Loader) Packages(patterns ...string) ([]*Package, error) {
 
 // moduleDirs walks the module tree and returns every directory (as a
 // module-relative slash path) containing Go sources, skipping vendor,
-// testdata, and hidden directories.
+// testdata, hidden directories, and nested modules (any subdirectory
+// with its own go.mod), as `go list ./...` does.
 func (l *Loader) moduleDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.Root, func(p string, d os.DirEntry, err error) error {
@@ -297,7 +298,13 @@ func (l *Loader) moduleDirs() ([]string, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if p != l.Root && (name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p == l.Root {
+				return nil
+			}
+			if name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -123,13 +123,13 @@ func TestDecodeRealRuntimeCapture(t *testing.T) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		t.Skipf("CPU profiler busy: %v", err)
 	}
-	pl := NewPhaseLabels(context.Background(), "beat_extraction")
-	pl.Set(0)
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels(LabelPhase, "beat_extraction")))
 	sink := 0.0
 	for i := 0; i < 20_000_000; i++ {
 		sink += math.Sqrt(float64(i))
 	}
-	pl.Unset()
+	pprof.SetGoroutineLabels(context.Background())
 	pprof.StopCPUProfile()
 	if sink == 0 {
 		t.Fatal("burn loop optimized away")

@@ -45,48 +45,6 @@ func Disable() { enabled.Add(-1) }
 // Enabled reports whether any profile consumer wants labeled samples.
 func Enabled() bool { return enabled.Load() > 0 }
 
-// PhaseLabels carries prebuilt label contexts for a fixed phase set, so
-// entering a phase inside a step loop is one slice index plus one
-// runtime label-pointer swap — no per-step context or map allocation.
-// A nil *PhaseLabels is valid and inert, letting call sites write
-// pl.Set(i) unconditionally.
-type PhaseLabels struct {
-	base   context.Context
-	phases []context.Context
-}
-
-// NewPhaseLabels prebuilds one labeled context per phase name on top of
-// ctx (whose own labels — e.g. campaign/job from DoJob — are merged by
-// the runtime, so a sample can carry phase and job at once).
-func NewPhaseLabels(ctx context.Context, phases ...string) *PhaseLabels {
-	pl := &PhaseLabels{base: ctx, phases: make([]context.Context, len(phases))}
-	for i, name := range phases {
-		pl.phases[i] = pprof.WithLabels(ctx, pprof.Labels(LabelPhase, name))
-	}
-	return pl
-}
-
-// Set attributes subsequent CPU samples on this goroutine to phase i
-// (the index into the NewPhaseLabels argument order).
-//
-//safesense:hotpath
-func (pl *PhaseLabels) Set(i int) {
-	if pl == nil {
-		return
-	}
-	pprof.SetGoroutineLabels(pl.phases[i])
-}
-
-// Unset restores the base context's labels.
-//
-//safesense:hotpath
-func (pl *PhaseLabels) Unset() {
-	if pl == nil {
-		return
-	}
-	pprof.SetGoroutineLabels(pl.base)
-}
-
 // DoJob runs f with campaign/job labels attached to the goroutine for
 // its duration (restoring the previous labels after), so every CPU
 // sample inside a campaign job is attributable to the sweep and grid

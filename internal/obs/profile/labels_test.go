@@ -22,44 +22,6 @@ func TestEnableReferenceCounts(t *testing.T) {
 	}
 }
 
-func TestPhaseLabelsSetAndUnset(t *testing.T) {
-	ctx := pprof.WithLabels(context.Background(), pprof.Labels(LabelCampaign, "sweep"))
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(context.Background())
-
-	pl := NewPhaseLabels(ctx, "radar_synthesis", "beat_extraction")
-	pl.Set(1)
-	// The phase context must merge the base labels, not replace them.
-	if v, ok := pprof.Label(pl.phases[1], LabelPhase); !ok || v != "beat_extraction" {
-		t.Fatalf("phase label = %q ok=%v", v, ok)
-	}
-	if v, ok := pprof.Label(pl.phases[1], LabelCampaign); !ok || v != "sweep" {
-		t.Fatalf("base label lost: %q ok=%v", v, ok)
-	}
-	pl.Unset()
-
-	// A nil receiver is inert: call sites write pl.Set unconditionally.
-	var nilPL *PhaseLabels
-	nilPL.Set(0)
-	nilPL.Unset()
-}
-
-// TestPhaseLabelSwitchZeroAlloc guards the per-step label swap: entering
-// and leaving a phase must not allocate (the contexts are prebuilt).
-func TestPhaseLabelSwitchZeroAlloc(t *testing.T) {
-	pl := NewPhaseLabels(context.Background(), "radar_synthesis", "beat_extraction", "cra_check")
-	defer pl.Unset()
-	allocs := testing.AllocsPerRun(200, func() {
-		pl.Set(0)
-		pl.Set(1)
-		pl.Set(2)
-		pl.Unset()
-	})
-	if allocs != 0 {
-		t.Fatalf("phase switch allocates %v/op, want 0", allocs)
-	}
-}
-
 func TestDoJobAttachesLabels(t *testing.T) {
 	var phase, campaign, job string
 	var ok1, ok2 bool

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -308,14 +309,28 @@ type (
 		Buckets []BucketSnapshot  `json:"buckets,omitempty"`
 	}
 	// BucketSnapshot is one cumulative histogram bucket; the final bucket
-	// has UpperBound = +Inf. Exemplar, when present, is the latest traced
-	// observation that landed in this bucket.
+	// has UpperBound = +Inf, which JSON renders as the string "+Inf" (the
+	// Prometheus le spelling). Exemplar, when present, is the latest
+	// traced observation that landed in this bucket.
 	BucketSnapshot struct {
 		UpperBound float64   `json:"le"`
 		Count      uint64    `json:"count"`
 		Exemplar   *Exemplar `json:"exemplar,omitempty"`
 	}
 )
+
+// MarshalJSON writes the overflow bucket's +Inf bound as "+Inf": JSON
+// has no infinity literal, and json.Marshal rejects the float.
+func (b BucketSnapshot) MarshalJSON() ([]byte, error) {
+	type plain BucketSnapshot
+	if !math.IsInf(b.UpperBound, 1) {
+		return json.Marshal(plain(b))
+	}
+	return json.Marshal(struct {
+		UpperBound string `json:"le"`
+		plain
+	}{"+Inf", plain(b)})
+}
 
 // Snapshot captures every family, sorted by name, children sorted by
 // label values. Values are read atomically per metric (the snapshot as a

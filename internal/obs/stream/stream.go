@@ -6,9 +6,11 @@
 //
 //   - Publish never blocks and never waits on a subscriber, so a
 //     producer adjacent to the //safesense:hotpath sim loop can publish
-//     regardless of subscriber health. Event IDs come from one atomic
-//     counter and the event lands in a fixed-size replay ring of atomic
-//     pointers — no lock is taken on the publish path.
+//     regardless of subscriber health. Publishers serialize on one short
+//     lock around ID assignment and fan-out, so every subscriber sees
+//     IDs in increasing order; the lock is never held across a wait on
+//     a subscriber. The event lands in a fixed-size replay ring of
+//     atomic pointers.
 //   - Every subscriber owns a bounded buffer. A subscriber that stops
 //     draining loses events: the hub counts the drops (per subscriber
 //     and globally on /metrics) instead of applying backpressure.
@@ -49,6 +51,9 @@ type Hub struct {
 	ring []atomic.Pointer[Event] // replay ring; len is a power of two
 	mask uint64
 	seq  atomic.Uint64 // last assigned event ID; IDs start at 1
+	// pub orders concurrent publishers: an event is offered to every
+	// subscriber before the next ID is assigned.
+	pub sync.Mutex
 
 	// subs is swapped copy-on-write under mu; Publish only loads it.
 	mu   sync.Mutex
@@ -83,6 +88,8 @@ func (h *Hub) Publish(topic, typ string, data []byte) uint64 {
 		return 0
 	}
 	ev := &Event{Topic: topic, Type: typ, Data: data}
+	h.pub.Lock()
+	defer h.pub.Unlock()
 	ev.ID = h.seq.Add(1)
 	h.ring[(ev.ID-1)&h.mask].Store(ev)
 	metricPublished.With().Inc()

@@ -14,7 +14,8 @@ package perf
 
 import (
 	"runtime"
-	"runtime/debug"
+
+	"safesense/internal/obs/profile"
 )
 
 // SchemaVersion identifies the BENCH_*.json document layout. Bump it on
@@ -143,23 +144,6 @@ const (
 
 // VCSRevision extracts the commit the binary was built from, "" when the
 // toolchain stamped none (e.g. `go test` binaries); a locally modified
-// tree gets a "-dirty" suffix.
-func VCSRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" && modified == "true" {
-		rev += "-dirty"
-	}
-	return rev
-}
+// tree gets a "-dirty" suffix. It is profile.VCSRevision, kept under
+// this name for callers of the perf API.
+func VCSRevision() string { return profile.VCSRevision() }

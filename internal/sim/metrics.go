@@ -4,39 +4,6 @@ import (
 	"safesense/internal/obs"
 )
 
-// Phase names for the per-run timing breakdown. These are the label
-// values of the safesense_sim_phase_seconds histogram and the names
-// printed by safesim -timing.
-const (
-	PhaseRadarSynthesis = "radar_synthesis"
-	PhaseBeatExtraction = "beat_extraction"
-	PhaseCRACheck       = "cra_check"
-	PhaseRLSEstimation  = "rls_estimation"
-	PhaseVehicleStep    = "vehicle_step"
-)
-
-// Phase label-context indexes: the order RunContext passes the phases
-// to profile.NewPhaseLabels, so a step-loop phase entry is one slice
-// index.
-const (
-	phaseIdxRadarSynthesis = iota
-	phaseIdxBeatExtraction
-	phaseIdxCRACheck
-	phaseIdxRLSEstimation
-	phaseIdxVehicleStep
-)
-
-// PhaseNames lists every pipeline phase in execution order — the label
-// vocabulary of safesense_sim_phase_seconds and of the continuous
-// profiler's pprof "phase" label (callers use it as the bounded gauge
-// whitelist).
-func PhaseNames() []string {
-	return []string{
-		PhaseRadarSynthesis, PhaseBeatExtraction,
-		PhaseCRACheck, PhaseRLSEstimation, PhaseVehicleStep,
-	}
-}
-
 var (
 	metricRuns = obs.Default().Counter(
 		"safesense_sim_runs_total", "Completed simulation runs.")
@@ -52,27 +19,6 @@ type PhaseTiming struct {
 	Phase   string  `json:"phase"`
 	Calls   int     `json:"calls"`
 	Seconds float64 `json:"seconds"`
-}
-
-// recordPhases projects the run's timers onto Result.Phases and the
-// process-wide metrics. Phases that never ran (e.g. beat extraction on
-// the closed-form pipeline, RLS when undefended) are kept in the
-// breakdown with zero calls but not observed into the histogram, so the
-// per-phase distributions only contain runs that exercised the phase.
-func recordPhases(timers []*obs.Timer) []PhaseTiming {
-	metricRuns.With().Inc()
-	out := make([]PhaseTiming, 0, len(timers))
-	for _, t := range timers {
-		out = append(out, PhaseTiming{
-			Phase:   t.Name(),
-			Calls:   t.Calls(),
-			Seconds: t.Total().Seconds(),
-		})
-		if t.Calls() > 0 {
-			metricPhaseSeconds.With(t.Name()).Observe(t.Total().Seconds())
-		}
-	}
-	return out
 }
 
 // TotalSeconds sums a phase breakdown (instrumented time only; the run's

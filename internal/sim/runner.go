@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	rt "runtime/trace"
 	"strconv"
 	"time"
 
@@ -12,8 +11,6 @@ import (
 	"safesense/internal/cra"
 	"safesense/internal/estimate"
 	"safesense/internal/noise"
-	"safesense/internal/obs"
-	"safesense/internal/obs/profile"
 	obstrace "safesense/internal/obs/trace"
 	"safesense/internal/radar"
 	"safesense/internal/stats"
@@ -114,27 +111,8 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tRadar := obs.NewTimer(PhaseRadarSynthesis)
-	tExtract := obs.NewTimer(PhaseBeatExtraction)
-	tCRA := obs.NewTimer(PhaseCRACheck)
-	tRLS := obs.NewTimer(PhaseRLSEstimation)
-	tVehicle := obs.NewTimer(PhaseVehicleStep)
-	// rtOn hoists the execution-tracer check out of the step loop; when
-	// off, phase regions cost one branch per step.
-	rtOn := rt.IsEnabled()
-	// pl carries prebuilt pprof phase-label contexts when a profile
-	// consumer is active (continuous profiler, -profile-dir, perf
-	// capture); nil otherwise, so the step loop pays one nil check per
-	// phase when profiling is off. The phase order must match the
-	// phaseIdx* constants.
-	var pl *profile.PhaseLabels
-	if profile.Enabled() {
-		pl = profile.NewPhaseLabels(ctx,
-			PhaseRadarSynthesis, PhaseBeatExtraction,
-			PhaseCRACheck, PhaseRLSEstimation, PhaseVehicleStep)
-		defer pl.Unset()
-	}
-	measure, threshold, err := buildMeasurePipeline(ctx, s, atk, src, tRadar, tExtract, rtOn, pl)
+	ph := newPhaseHook(ctx)
+	measure, threshold, err := buildMeasurePipeline(s, atk, src, ph)
 	if err != nil {
 		return nil, err
 	}
@@ -220,18 +198,9 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		useD, useV := m.Distance, m.RelVelocity
 		underAttack := false
 		if s.Defended {
-			var rg *rt.Region
-			if rtOn {
-				rg = rt.StartRegion(ctx, PhaseCRACheck)
-			}
-			pl.Set(phaseIdxCRACheck)
-			craSpan := tCRA.Start()
+			ph.enter(phaseCRACheck)
 			ev := det.Step(m)
-			craSpan.End()
-			pl.Unset()
-			if rg != nil {
-				rg.End()
-			}
+			ph.exit()
 			res.Events = append(res.Events, ev)
 			if ev.Detected && res.DetectedAt < 0 {
 				res.DetectedAt = k
@@ -265,18 +234,9 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		case s.Defended && underAttack:
 			if pred.Ready() {
 				// Algorithm 2 line 11: estimate for the attack duration.
-				var rg *rt.Region
-				if rtOn {
-					rg = rt.StartRegion(ctx, PhaseRLSEstimation)
-				}
-				pl.Set(phaseIdxRLSEstimation)
-				sp := tRLS.Start()
+				ph.enter(phaseRLSEstimation)
 				useD, useV = pred.Predict(follower.Velocity)
-				res.RLSTime += sp.End()
-				pl.Unset()
-				if rg != nil {
-					rg.End()
-				}
+				res.RLSTime += ph.exit()
 				res.EstimateSteps++
 				dEst.Append(k, useD)
 				vEst.Append(k, useV)
@@ -315,11 +275,9 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			// Accepted measurement: train the predictor on it.
 			fr.inExceed = false
 			if s.Defended {
-				pl.Set(phaseIdxRLSEstimation)
-				sp := tRLS.Start()
+				ph.enter(phaseRLSEstimation)
 				err := pred.Observe(m.Distance, m.RelVelocity, follower.Velocity)
-				res.RLSTime += sp.End()
-				pl.Unset()
+				res.RLSTime += ph.exit()
 				if err != nil {
 					return nil, fmt.Errorf("sim: predictor: %w", err)
 				}
@@ -327,19 +285,10 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		}
 		heldD, heldV = useD, useV
 
-		var vehRg *rt.Region
-		if rtOn {
-			vehRg = rt.StartRegion(ctx, PhaseVehicleStep)
-		}
-		pl.Set(phaseIdxVehicleStep)
-		vehSpan := tVehicle.Start()
+		ph.enter(phaseVehicleStep)
 		_, aF := ctl.Step(useD, useV, follower.Velocity, true)
 		follower = follower.Step(aF, 1)
-		vehSpan.End()
-		pl.Unset()
-		if vehRg != nil {
-			vehRg.End()
-		}
+		ph.exit()
 
 		gap := vehicle.Gap(leader, follower)
 		if gap < res.MinGap {
@@ -377,7 +326,7 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			return atk.Active(k)
 		})
 	}
-	res.Phases = recordPhases([]*obs.Timer{tRadar, tExtract, tCRA, tRLS, tVehicle})
+	res.Phases = ph.timings()
 	res.Flight = fr.events
 	res.Anomalies = fr.anomalies
 	if span.Sampled() {
@@ -413,30 +362,19 @@ type measureFunc func(k int, d, dv float64) radar.Measurement
 // (radar.FrontEnd + measurement-level attack transform) and the
 // high-fidelity signal pipeline (radar.SignalFrontEnd + sweep-level attack
 // transform), returning the measurement closure and the detector's
-// quiet-channel threshold. synth times sweep synthesis + corruption;
-// extract times the beat-spectrum estimator (signal pipeline only). When
-// rtOn, each phase additionally opens a runtime/trace region on ctx;
-// when pl is non-nil, each phase additionally tags its CPU samples with
-// the matching pprof phase label.
-func buildMeasurePipeline(ctx context.Context, s Scenario, atk attack.Attack, src *noise.Source, synth, extract *obs.Timer, rtOn bool, pl *profile.PhaseLabels) (measureFunc, float64, error) {
+// quiet-channel threshold. ph brackets sweep synthesis + corruption as
+// the radar-synthesis phase and the beat-spectrum estimator (signal
+// pipeline only) as the beat-extraction phase.
+func buildMeasurePipeline(s Scenario, atk attack.Attack, src *noise.Source, ph *phaseHook) (measureFunc, float64, error) {
 	if !s.SignalLevel {
 		fe, err := radar.NewFrontEnd(s.Radar, s.Schedule, src)
 		if err != nil {
 			return nil, 0, err
 		}
 		return func(k int, d, dv float64) radar.Measurement {
-			var rg *rt.Region
-			if rtOn {
-				rg = rt.StartRegion(ctx, PhaseRadarSynthesis)
-			}
-			pl.Set(phaseIdxRadarSynthesis)
-			sp := synth.Start()
+			ph.enter(phaseRadarSynthesis)
 			m := atk.Corrupt(k, fe.Observe(k, d, dv))
-			sp.End()
-			pl.Unset()
-			if rg != nil {
-				rg.End()
-			}
+			ph.exit()
 			return m
 		}, fe.ZeroThreshold(), nil
 	}
@@ -454,32 +392,15 @@ func buildMeasurePipeline(ctx context.Context, s Scenario, atk attack.Attack, sr
 	}
 	sweepAtk, signalCapable := atk.(radar.SweepCorruptor)
 	return func(k int, d, dv float64) radar.Measurement {
-		var rg *rt.Region
-		if rtOn {
-			rg = rt.StartRegion(ctx, PhaseRadarSynthesis)
-		}
-		pl.Set(phaseIdxRadarSynthesis)
-		sp := synth.Start()
+		ph.enter(phaseRadarSynthesis)
 		sweep, challenge := sfe.ObserveSweep(k, d, dv)
 		if signalCapable {
 			sweep = sweepAtk.CorruptSweep(k, sweep, challenge)
 		}
-		sp.End()
-		pl.Unset()
-		if rg != nil {
-			rg.End()
-		}
-		if rtOn {
-			rg = rt.StartRegion(ctx, PhaseBeatExtraction)
-		}
-		pl.Set(phaseIdxBeatExtraction)
-		ep := extract.Start()
+		ph.exit()
+		ph.enter(phaseBeatExtraction)
 		m := sfe.Measure(k, sweep, challenge)
-		ep.End()
-		pl.Unset()
-		if rg != nil {
-			rg.End()
-		}
+		ph.exit()
 		if !signalCapable {
 			// Attacks without a physical-channel model (e.g. the fast
 			// adversary) corrupt the extracted measurement instead.
