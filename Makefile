@@ -5,7 +5,7 @@ GO ?= go
 # without letting coverage rot.
 COVER_MIN ?= 78
 
-.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke bench bench-smoke bench-check bench-capture perf-baseline cover check
+.PHONY: all build test race race-hot vet fmt-check lint lint-self lint-json fuzz-smoke dist-smoke stream-smoke forensic-smoke profile-smoke loc bench bench-smoke bench-check bench-capture perf-baseline cover check
 
 all: check
 
@@ -96,6 +96,11 @@ forensic-smoke:
 profile-smoke:
 	PROFILE_SMOKE_OUT=$(CURDIR)/profile-summary.json \
 		$(GO) test -run='^TestProfileSmoke$$' -count=1 -v ./internal/sim
+
+# loc prints the non-test Go line count — the figure CHANGES.md records
+# for each change (tests, the perfbench module and testdata excluded).
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/**' ':!:**/testdata/**' | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -128,14 +127,9 @@ type CampaignEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Campaign event kinds (beyond the lifecycle statuses, which are reused
-// verbatim as kinds).
-const (
-	eventSubmitted     = "submitted"
-	eventCollision     = "collision"
-	eventFalsePositive = "false_positive"
-	eventFalseNegative = "false_negative"
-)
+// eventSubmitted is the audit log's first kind. Later entries reuse the
+// lifecycle statuses and the campaign.Incident kinds verbatim.
+const eventSubmitted = "submitted"
 
 // maxCampaignEvents caps a campaign's event log; a sweep designed to
 // crash every run must not grow the store unboundedly.
@@ -280,28 +274,6 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// vcsRevision extracts the VCS commit the binary was built from, when the
-// toolchain stamped one ("" otherwise — e.g. go test binaries).
-func vcsRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" && modified == "true" {
-		rev += "-dirty"
-	}
-	return rev
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := len(s.campaigns)
@@ -319,7 +291,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":    time.Since(s.started).Seconds(),
 		"go_version":        runtime.Version(),
 	}
-	if rev := vcsRevision(); rev != "" {
+	if rev := profile.VCSRevision(); rev != "" {
 		resp["vcs_revision"] = rev
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -505,33 +477,13 @@ func (s *Server) evictLocked() bool {
 	return false
 }
 
-// jobEvents derives one outcome's incident events: collisions and
-// detector confusion, each attributed to the job's index and seed so
-// the run is reproducible from the event alone.
-func jobEvents(o campaign.Outcome, now time.Time) []CampaignEvent {
+// incidentEvents stamps one outcome's campaign.Incidents with now —
+// the audit log's and the flight feed's per-job entries.
+func incidentEvents(o campaign.Outcome, now time.Time) []CampaignEvent {
 	var evs []CampaignEvent
-	if o.CollisionAt >= 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventCollision,
-			JobIndex: o.Index, Seed: o.Point.Seed, K: o.CollisionAt, Detail: o.Label})
-	}
-	if o.FalsePositives > 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventFalsePositive,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false positives", o.Label, o.FalsePositives)})
-	}
-	if o.FalseNegatives > 0 {
-		evs = append(evs, CampaignEvent{Time: now, Kind: eventFalseNegative,
-			JobIndex: o.Index, Seed: o.Point.Seed,
-			Detail: fmt.Sprintf("%s: %d false negatives", o.Label, o.FalseNegatives)})
-	}
-	return evs
-}
-
-// outcomeEvents derives the per-job incident events of a whole sweep.
-func outcomeEvents(sum *campaign.Summary, now time.Time) []CampaignEvent {
-	var evs []CampaignEvent
-	for _, o := range sum.Outcomes {
-		evs = append(evs, jobEvents(o, now)...)
+	for _, in := range campaign.Incidents(o) {
+		evs = append(evs, CampaignEvent{Time: now, Kind: in.Kind,
+			JobIndex: in.JobIndex, Seed: in.Seed, K: in.K, Detail: in.Detail})
 	}
 	return evs
 }
@@ -544,9 +496,9 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 		Workers:         workers,
 		DiscardOutcomes: discard,
 		Log:             s.cfg.Log.With("campaign_id", e.ID),
+		Campaign:        e.ID,
 		Forensic: &campaign.ForensicOptions{
 			Sink:              func(fc forensic.Capture) { _, _, _ = s.cfg.Forensic.Put(fc) },
-			Campaign:          e.ID,
 			LatencyOutlierPct: s.cfg.ForensicLatencyPct,
 		},
 		OnOutcome: streamer.onOutcome,
@@ -573,8 +525,10 @@ func (s *Server) runCampaign(ctx context.Context, cspan *obstrace.Span, e *entry
 		e.Status = statusDone
 		e.Done = e.Jobs
 		e.Summary = sum
-		for _, ev := range outcomeEvents(sum, now) {
-			e.addEvent(ev)
+		for _, o := range sum.Outcomes {
+			for _, ev := range incidentEvents(o, now) {
+				e.addEvent(ev)
+			}
 		}
 	}
 	e.addEvent(CampaignEvent{Time: now, Kind: e.Status, Detail: e.Err})

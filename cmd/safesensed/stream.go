@@ -10,20 +10,6 @@ import (
 	"safesense/internal/obs/stream"
 )
 
-// SSE event types on a local campaign's topic (the campaign ID). The
-// dist coordinator publishes the same vocabulary on its topics, so one
-// client speaks both feeds.
-const (
-	streamTypeProgress = "progress"
-	streamTypePartial  = "partial"
-	streamTypeFlight   = "flight"
-	streamTypeDone     = "done"
-)
-
-// streamKeepalive is the SSE comment interval that keeps idle
-// connections alive through proxies.
-const streamKeepalive = 15 * time.Second
-
 // progressPayload is the "progress" event body.
 type progressPayload struct {
 	Campaign   string  `json:"campaign"`
@@ -97,17 +83,17 @@ func (cs *campaignStreamer) publish(typ string, v any) {
 func (cs *campaignStreamer) onOutcome(o campaign.Outcome) {
 	cs.acc.Add(o)
 	cs.done++
-	for _, ev := range jobEvents(o, time.Now()) {
-		cs.publish(streamTypeFlight, ev)
+	for _, ev := range incidentEvents(o, time.Now()) {
+		cs.publish(campaign.FeedFlight, ev)
 	}
 	if cs.done%cs.progressEvery == 0 || cs.done == cs.jobs {
-		cs.publish(streamTypeProgress, progressPayload{
+		cs.publish(campaign.FeedProgress, progressPayload{
 			Campaign: cs.id, Status: statusRunning, Jobs: cs.jobs, Done: cs.done,
 			RunsPerSec: cs.rps, ETASeconds: cs.eta,
 		})
 	}
 	if cs.done%cs.partialEvery == 0 || cs.done == cs.jobs {
-		cs.publish(streamTypePartial, cs.acc.Snapshot())
+		cs.publish(campaign.FeedPartial, cs.acc.Snapshot())
 	}
 }
 
@@ -121,7 +107,7 @@ func (cs *campaignStreamer) onStats(st campaign.Stats) {
 // finish publishes the terminal event. Callers hold s.mu (publishing
 // under the lock is fine — it never blocks).
 func (cs *campaignStreamer) finish(e *entry) {
-	cs.publish(streamTypeDone, terminalPayload(e))
+	cs.publish(campaign.FeedDone, terminalPayload(e))
 }
 
 // terminalPayload builds the "done" event body from a terminal entry.
@@ -156,23 +142,13 @@ func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, fmt.Errorf("no campaign %q", id))
 		return
 	}
+	var final []byte
 	if terminal != nil {
-		data, err := json.Marshal(terminal)
-		if err != nil {
+		var err error
+		if final, err = json.Marshal(terminal); err != nil {
 			writeError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		_ = stream.EncodeFrame(w, stream.Frame{Event: streamTypeDone, Data: data})
-		return
 	}
-	after, _ := stream.LastEventID(r)
-	_ = stream.Serve(w, r, s.cfg.Streams, stream.ServeOptions{
-		Topic:     id,
-		Replay:    true,
-		After:     after,
-		Keepalive: streamKeepalive,
-		Done:      func(ev *stream.Event) bool { return ev.Type == streamTypeDone },
-	})
+	_ = stream.Serve(w, r, s.cfg.Streams, id, campaign.FeedDone, final)
 }

@@ -83,7 +83,7 @@ func TestCampaignStreamLive(t *testing.T) {
 			lastID = fr.ID
 		}
 		switch fr.Event {
-		case streamTypeProgress:
+		case campaign.FeedProgress:
 			var p progressPayload
 			if err := json.Unmarshal(fr.Data, &p); err != nil {
 				t.Fatalf("progress payload: %v", err)
@@ -96,7 +96,7 @@ func TestCampaignStreamLive(t *testing.T) {
 			}
 			lastDone = p.Done
 			progress++
-		case streamTypePartial:
+		case campaign.FeedPartial:
 			var part campaign.Partial
 			if err := json.Unmarshal(fr.Data, &part); err != nil {
 				t.Fatalf("partial payload: %v", err)
@@ -108,7 +108,7 @@ func TestCampaignStreamLive(t *testing.T) {
 				t.Fatalf("partial covers %d jobs", part.Jobs)
 			}
 			partials++
-		case streamTypeDone:
+		case campaign.FeedDone:
 			doneFrame = fr.Data
 		}
 	}
@@ -156,7 +156,7 @@ func TestCampaignStreamFinished(t *testing.T) {
 	if err != nil {
 		t.Fatalf("terminal frame: %v", err)
 	}
-	if fr.Event != streamTypeDone {
+	if fr.Event != campaign.FeedDone {
 		t.Fatalf("terminal frame event = %q, want done", fr.Event)
 	}
 	var env struct {

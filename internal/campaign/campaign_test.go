@@ -249,11 +249,11 @@ func TestRunProgressAndOutcomeDiscard(t *testing.T) {
 	sum, err := Run(context.Background(), testSpec(), Options{
 		Workers:         3,
 		DiscardOutcomes: true,
-		OnProgress: func(done, total int) {
-			if total != 8 {
-				t.Errorf("total = %d, want 8", total)
+		OnStats: func(st Stats) {
+			if st.Total != 8 {
+				t.Errorf("total = %d, want 8", st.Total)
 			}
-			calls = append(calls, done)
+			calls = append(calls, st.Done)
 		},
 	})
 	if err != nil {

@@ -3,13 +3,13 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"safesense/internal/obs"
 	"safesense/internal/obs/profile"
 	obstrace "safesense/internal/obs/trace"
 	"safesense/internal/sim"
@@ -27,21 +27,18 @@ var wallClock = time.Now
 type Options struct {
 	// Workers bounds the worker pool (<= 0 means GOMAXPROCS).
 	Workers int
-	// OnProgress, when non-nil, is called after every completed job with
-	// (done, total). Calls are serialized; the callback must not block
-	// for long or it throttles the pool.
-	OnProgress func(done, total int)
 	// OnStats, when non-nil, is called after every completed job with
-	// cumulative timing-derived stats (runs/sec, ETA). Same serialization
-	// contract as OnProgress.
+	// cumulative timing-derived stats (done/total, runs/sec, ETA). Calls
+	// are serialized with OnOutcome; the callback must not block for
+	// long or it throttles the pool.
 	OnStats func(Stats)
 	// OnOutcome, when non-nil, is called after every completed job with
 	// the job's outcome — the live tap behind streamed progress and
-	// incremental Partial accumulation. Calls are serialized with
-	// OnProgress/OnStats but arrive in completion order, not grid order
-	// (feed an Accumulator, whose snapshots re-sort).
+	// incremental Partial accumulation. Calls arrive in completion
+	// order, not grid order (feed an Accumulator, whose snapshots
+	// re-sort).
 	OnOutcome func(Outcome)
-	// DiscardOutcomes drops the per-job outcome list from the summary,
+	// DiscardOutcomes drops the per-job outcome list from Run's summary,
 	// keeping only the aggregate — for very large campaigns where the
 	// O(jobs) payload is unwanted.
 	DiscardOutcomes bool
@@ -51,22 +48,19 @@ type Options struct {
 	// forensic.Capture and handed to the sink, concurrently from the
 	// pool workers. See ForensicOptions.
 	Forensic *ForensicOptions
-	// ProfileCampaign labels each job's CPU samples with this campaign
-	// name (pprof "campaign" label) when a profile consumer is active.
-	// Honored by RunJobs — distributed workers pass the lease's campaign
-	// ID — while Run stamps the spec name itself.
-	ProfileCampaign string
+	// Campaign names the sweep in each job's pprof "campaign" label
+	// (when a profile consumer is active) and in its forensic captures.
+	// Run defaults it to the spec name; distributed workers pass the
+	// lease's campaign ID.
+	Campaign string
 	// Log receives the engine's structured records. Every record carries
 	// the job's index and seed, so log lines from concurrent sweeps can
 	// be tied back to a reproducible scenario. Nil discards.
 	Log *slog.Logger
-	// SlowestJobs sets how many of the slowest jobs the summary's table
-	// keeps (zero means DefaultSlowestJobs; negative disables).
-	SlowestJobs int
 }
 
-// DefaultSlowestJobs is the top-K table size of Summary.SlowestJobs.
-const DefaultSlowestJobs = 8
+// slowestJobs is the top-K table size of Summary.SlowestJobs.
+const slowestJobs = 8
 
 // Outcome is the per-job result record: the job identity plus the scalar
 // metrics a sweep aggregates. Traces are deliberately not retained — a
@@ -133,29 +127,25 @@ type JobTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// topK accumulates the K largest job timings; insert is O(K) which is
-// fine for K = 8 against ~ms jobs.
+// topK accumulates the slowestJobs largest job timings; insert is
+// O(K) which is fine for K = 8 against ~ms jobs.
 type topK struct {
 	mu   sync.Mutex
-	k    int
 	rows []JobTiming
 }
 
 func (t *topK) insert(row JobTiming) {
-	if t.k <= 0 {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i := sort.Search(len(t.rows), func(i int) bool { return t.rows[i].Seconds < row.Seconds })
-	if i >= t.k {
+	if i >= slowestJobs {
 		return
 	}
 	t.rows = append(t.rows, JobTiming{})
 	copy(t.rows[i+1:], t.rows[i:])
 	t.rows[i] = row
-	if len(t.rows) > t.k {
-		t.rows = t.rows[:t.k]
+	if len(t.rows) > slowestJobs {
+		t.rows = t.rows[:slowestJobs]
 	}
 }
 
@@ -208,85 +198,34 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opt.Campaign == "" {
+		opt.Campaign = spec.Name
 	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
+	if f := opt.Forensic; f != nil && f.Sink != nil && f.SpecHash == "" {
+		withHash := *f
+		withHash.SpecHash = spec.Hash()
+		opt.Forensic = &withHash
 	}
-	logger := opt.Log
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	slowK := opt.SlowestJobs
-	if slowK == 0 {
-		slowK = DefaultSlowestJobs
-	}
-	slowest := &topK{k: slowK}
 
 	ctx, cspan := obstrace.StartSpan(ctx, "campaign.run")
 	defer cspan.End()
-	if cspan.Sampled() {
-		cspan.SetAttr("campaign", spec.Name)
-		cspan.SetAttrInt("jobs", int64(len(jobs)))
-		cspan.SetAttrInt("workers", int64(workers))
-	}
-
 	metricActiveCampaigns.With().Add(1)
 	defer metricActiveCampaigns.With().Add(-1)
 
-	start := wallClock()
-
-	var progressMu sync.Mutex
-	done := 0
-	report := func(o Outcome) {
-		if opt.OnProgress == nil && opt.OnStats == nil && opt.OnOutcome == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		done++
-		if opt.OnOutcome != nil {
-			opt.OnOutcome(o)
-		}
-		if opt.OnProgress != nil {
-			opt.OnProgress(done, len(jobs))
-		}
-		if opt.OnStats != nil {
-			opt.OnStats(statsAt(done, len(jobs), wallClock().Sub(start)))
-		}
+	sum, err := execute(ctx, jobs, opt)
+	if cspan.Sampled() {
+		cspan.SetAttr("campaign", spec.Name)
+		cspan.SetAttrInt("jobs", int64(len(jobs)))
+		cspan.SetAttrInt("workers", int64(sum.Workers))
 	}
-
-	capt := newRunCapturer(opt, spec)
-	outcomes, err := runPool(ctx, jobs, workers, logger, spec.Name, func(o Outcome, j Job, res *sim.Result, jobTime time.Duration) {
-		slowest.insert(JobTiming{
-			Index: o.Index, Seed: o.Point.Seed,
-			Label: o.Label, Seconds: jobTime.Seconds(),
-		})
-		if capt != nil {
-			capt.observe(j, res, jobTime)
-		}
-		report(o)
-	})
 	if err != nil {
 		return nil, err
 	}
-
-	elapsed := wallClock().Sub(start)
-	sum := &Summary{
-		Name:           spec.Name,
-		Spec:           spec,
-		Workers:        workers,
-		Aggregate:      AggregateOutcomes(outcomes),
-		SlowestJobs:    slowest.table(),
-		ElapsedSeconds: elapsed.Seconds(),
-	}
-	if elapsed > 0 {
-		sum.RunsPerSec = float64(len(jobs)) / elapsed.Seconds()
-	}
-	if !opt.DiscardOutcomes {
-		sum.Outcomes = outcomes
+	sum.Name = spec.Name
+	sum.Spec = spec
+	sum.Aggregate = AggregateOutcomes(sum.Outcomes)
+	if opt.DiscardOutcomes {
+		sum.Outcomes = nil
 	}
 	return sum, nil
 }
@@ -296,10 +235,25 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Summary, error) {
 // returning the outcomes in job-list order. The jobs keep their global
 // grid indices (Outcome.Index is Job.Index, not the list position), so
 // a shard's outcomes slot directly into the full-grid statistics.
-// Options are honored for Workers, Log, OnProgress, and OnOutcome;
-// summary-level options (DiscardOutcomes, OnStats, SlowestJobs) do not
-// apply.
+// DiscardOutcomes does not apply; a forensic SpecHash must be set by the
+// caller (the engine only sees the job sublist).
 func RunJobs(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
+	sum, err := execute(ctx, jobs, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sum.Outcomes, nil
+}
+
+// execute is the one engine path behind Run (a full expanded grid) and
+// RunJobs (an arbitrary job sublist). It sizes the pool, defaults the
+// logger, serializes OnOutcome/OnStats, and feeds the forensic capturer
+// and the slowest-jobs table. Outcomes are written by list position, so
+// their order always matches the input order; a failing job cancels the
+// pool and surfaces the first error. The returned summary is never nil:
+// it carries Workers, and on success the outcomes, the slowest-jobs
+// table and this execution's timing — Run adds the spec and aggregate.
+func execute(ctx context.Context, jobs []Job, opt Options) (*Summary, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -307,51 +261,39 @@ func RunJobs(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 	if workers > len(jobs) && len(jobs) > 0 {
 		workers = len(jobs)
 	}
+	sum := &Summary{Workers: workers}
 	logger := opt.Log
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = obs.DiscardLogger()
 	}
-	var report func(Outcome)
-	if opt.OnProgress != nil || opt.OnOutcome != nil {
-		var mu sync.Mutex
-		done := 0
-		report = func(o Outcome) {
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			if opt.OnOutcome != nil {
-				opt.OnOutcome(o)
-			}
-			if opt.OnProgress != nil {
-				opt.OnProgress(done, len(jobs))
-			}
-		}
-	}
-	capt := newJobsCapturer(opt)
-	var onDone func(Outcome, Job, *sim.Result, time.Duration)
-	if report != nil || capt != nil {
-		onDone = func(o Outcome, j Job, res *sim.Result, jobTime time.Duration) {
-			if capt != nil {
-				capt.observe(j, res, jobTime)
-			}
-			if report != nil {
-				report(o)
-			}
-		}
-	}
-	return runPool(ctx, jobs, workers, logger, opt.ProfileCampaign, onDone)
-}
+	capt := newCapturer(opt)
+	slowest := &topK{}
+	start := wallClock()
 
-// runPool is the one worker-pool implementation behind both Run (a full
-// expanded grid) and RunJobs (an arbitrary job sublist). Outcomes are
-// written by list position, so the result order always matches the input
-// order; a failing job cancels the pool and surfaces the first error.
-// onDone, when non-nil, is called concurrently after every successful job
-// with the outcome, the job, the full sim result (valid only for the
-// duration of the call's use — the engine itself retains nothing), and
-// the job's wall time. campaignName labels each job's CPU samples
-// (pprof campaign/job labels) when a profile consumer is active.
-func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, campaignName string, onDone func(Outcome, Job, *sim.Result, time.Duration)) ([]Outcome, error) {
+	var reportMu sync.Mutex
+	reported := 0
+	finish := func(o Outcome, j Job, res *sim.Result, jobTime time.Duration) {
+		slowest.insert(JobTiming{
+			Index: o.Index, Seed: o.Point.Seed,
+			Label: o.Label, Seconds: jobTime.Seconds(),
+		})
+		if capt != nil {
+			capt.observe(j, res, jobTime)
+		}
+		if opt.OnOutcome == nil && opt.OnStats == nil {
+			return
+		}
+		reportMu.Lock()
+		defer reportMu.Unlock()
+		reported++
+		if opt.OnOutcome != nil {
+			opt.OnOutcome(o)
+		}
+		if opt.OnStats != nil {
+			opt.OnStats(statsAt(reported, len(jobs), wallClock().Sub(start)))
+		}
+	}
+
 	type feedItem struct {
 		pos int
 		job Job
@@ -392,7 +334,7 @@ func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, 
 					if profile.Enabled() {
 						// Tag the job's CPU samples; the sim's own phase
 						// labels merge on top inside RunContext.
-						profile.DoJob(jobCtx, campaignName, j.Index, func(c context.Context) {
+						profile.DoJob(jobCtx, opt.Campaign, j.Index, func(c context.Context) {
 							res, err = sim.RunContext(c, s)
 						})
 					} else {
@@ -410,9 +352,7 @@ func runPool(ctx context.Context, jobs []Job, workers int, logger *slog.Logger, 
 						logger.Debug("campaign job done",
 							"job", j.Index, "seed", j.Point.Seed,
 							"duration_ms", float64(jobTime.Nanoseconds())/1e6)
-						if onDone != nil {
-							onDone(outcomes[it.pos], j, res, jobTime)
-						}
+						finish(outcomes[it.pos], j, res, jobTime)
 						continue
 					}
 				}
@@ -445,11 +385,18 @@ feedLoop:
 
 	select {
 	case err := <-errc:
-		return nil, err
+		return sum, err
 	default:
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return sum, err
 	}
-	return outcomes, nil
+	elapsed := wallClock().Sub(start)
+	sum.Outcomes = outcomes
+	sum.SlowestJobs = slowest.table()
+	sum.ElapsedSeconds = elapsed.Seconds()
+	if elapsed > 0 {
+		sum.RunsPerSec = float64(len(jobs)) / elapsed.Seconds()
+	}
+	return sum, nil
 }

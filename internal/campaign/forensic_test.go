@@ -82,7 +82,8 @@ func TestRunCapturesAnomalies(t *testing.T) {
 }
 
 func TestLatencyOutlierWindow(t *testing.T) {
-	c := newCapturer(ForensicOptions{LatencyOutlierPct: 90})
+	discard := func(forensic.Capture) {}
+	c := newCapturer(Options{Forensic: &ForensicOptions{Sink: discard, LatencyOutlierPct: 90}})
 	// Warmup: nothing is an outlier before minLatencySamples.
 	for i := 0; i < minLatencySamples; i++ {
 		if c.latencyOutlier(time.Hour) {
@@ -99,7 +100,7 @@ func TestLatencyOutlierWindow(t *testing.T) {
 	}
 
 	// Disabled percentile never captures.
-	off := newCapturer(ForensicOptions{})
+	off := newCapturer(Options{Forensic: &ForensicOptions{Sink: discard}})
 	for i := 0; i < minLatencySamples+1; i++ {
 		if off.latencyOutlier(time.Duration(i) * time.Second) {
 			t.Fatal("outlier flagged with latency capture disabled")

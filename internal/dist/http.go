@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
+	"safesense/internal/campaign"
 	"safesense/internal/obs/stream"
 	obstrace "safesense/internal/obs/trace"
 )
@@ -175,9 +175,8 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves the campaign's live SSE feed. A finished
 // campaign gets a single synthesized terminal frame (its live "done"
-// event may have been evicted from the replay ring long ago); a
-// running one subscribes with full-history replay, deduplicated
-// against Last-Event-ID when the client is resuming, and ends when the
+// event may have been evicted from the replay ring long ago); a running
+// one replays from the client's Last-Event-ID and ends when the
 // terminal event arrives.
 func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -191,8 +190,10 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 		distWriteError(w, r, http.StatusNotImplemented, fmt.Errorf("dist: streaming disabled on this coordinator"))
 		return
 	}
+	var final []byte
 	if st.Status == StatusDone && st.Summary != nil {
-		data, err := json.Marshal(streamDone{
+		var err error
+		final, err = json.Marshal(streamDone{
 			Campaign: st.ID, Jobs: st.Jobs,
 			ElapsedSeconds: st.ElapsedSeconds, Aggregate: st.Summary.Aggregate,
 		})
@@ -200,19 +201,8 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 			distWriteError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		_ = stream.EncodeFrame(w, stream.Frame{Event: streamTypeDone, Data: data})
-		return
 	}
-	after, _ := stream.LastEventID(r)
-	_ = stream.Serve(w, r, hub, stream.ServeOptions{
-		Topic:     id,
-		Replay:    true,
-		After:     after,
-		Keepalive: 15 * time.Second,
-		Done:      func(ev *stream.Event) bool { return ev.Type == streamTypeDone },
-	})
+	_ = stream.Serve(w, r, hub, id, campaign.FeedDone, final)
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {

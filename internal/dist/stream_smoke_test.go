@@ -98,7 +98,7 @@ func TestStreamSmoke(t *testing.T) {
 				progress, partials, leases, err)
 		}
 		switch fr.Event {
-		case streamTypeProgress:
+		case campaign.FeedProgress:
 			var p streamProgress
 			if err := json.Unmarshal(fr.Data, &p); err != nil {
 				t.Fatalf("progress payload: %v", err)
@@ -113,7 +113,7 @@ func TestStreamSmoke(t *testing.T) {
 			}
 			lastDone = p.Done
 			progress++
-		case streamTypePartial:
+		case campaign.FeedPartial:
 			var part campaign.Partial
 			if err := json.Unmarshal(fr.Data, &part); err != nil {
 				t.Fatalf("partial payload: %v", err)
@@ -122,9 +122,9 @@ func TestStreamSmoke(t *testing.T) {
 				t.Fatalf("invalid streamed partial: %v", err)
 			}
 			partials++
-		case streamTypeLease:
+		case feedLease:
 			leases++
-		case streamTypeDone:
+		case campaign.FeedDone:
 			doneFrame = fr.Data
 		}
 	}

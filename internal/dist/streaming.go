@@ -9,16 +9,10 @@ import (
 	"safesense/internal/campaign"
 )
 
-// SSE event types the coordinator publishes on a campaign's topic. The
-// topic is the campaign ID, so one hub carries every campaign and a
-// subscriber sees only its own.
-const (
-	streamTypeProgress = "progress"
-	streamTypePartial  = "partial"
-	streamTypeFlight   = "flight"
-	streamTypeLease    = "lease"
-	streamTypeDone     = "done"
-)
+// feedLease is the feed event the coordinator adds to the
+// campaign.Feed* vocabulary on a campaign's topic (its ID, so one hub
+// carries every campaign and a subscriber sees only its own).
+const feedLease = "lease"
 
 // Lease transition states carried by "lease" events.
 const (
@@ -78,7 +72,7 @@ func (c *Coordinator) publishLocked(topic, typ string, v any) {
 
 // publishLeaseLocked emits one shard transition. Callers hold c.mu.
 func (c *Coordinator) publishLeaseLocked(d *dcampaign, i int, sh *shard, state string) {
-	c.publishLocked(d.id, streamTypeLease, streamLease{
+	c.publishLocked(d.id, feedLease, streamLease{
 		Campaign: d.id, Shard: i, Start: sh.start, End: sh.end,
 		Worker: sh.worker, State: state, Grants: sh.grants,
 	})
@@ -90,12 +84,12 @@ func (c *Coordinator) publishProgressLocked(d *dcampaign) {
 	if c.cfg.Streams == nil {
 		return
 	}
-	c.publishLocked(d.id, streamTypeProgress, streamProgress{
+	c.publishLocked(d.id, campaign.FeedProgress, streamProgress{
 		Campaign: d.id, Status: d.status, Jobs: d.jobs,
 		Done:   d.doneJobs + liveJobs(d),
 		Leases: len(d.shards), DoneLeases: d.doneShards,
 	})
-	c.publishLocked(d.id, streamTypePartial, livePartial(d))
+	c.publishLocked(d.id, campaign.FeedPartial, livePartial(d))
 }
 
 // liveJobs sums the in-flight jobs reported by current lease holders.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"safesense/internal/campaign"
+	"safesense/internal/obs"
 	"safesense/internal/obs/forensic"
 	obstrace "safesense/internal/obs/trace"
 )
@@ -66,7 +67,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.ProgressInterval = 2 * time.Second
 	}
 	if c.Log == nil {
-		c.Log = slog.New(discardHandler{})
+		c.Log = obs.DiscardLogger()
 	}
 	if c.Traces == nil {
 		c.Traces = obstrace.Default()
@@ -202,12 +203,11 @@ func (w *Worker) execute(ctx context.Context, lease AcquireResponse) error {
 	// copy per incident.
 	collector := &captureCollector{}
 	opts := campaign.Options{
-		Workers:         w.cfg.Jobs,
-		Log:             w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
-		ProfileCampaign: lease.Campaign,
+		Workers:  w.cfg.Jobs,
+		Log:      w.cfg.Log.With("campaign", lease.Campaign, "lease", lease.LeaseID),
+		Campaign: lease.Campaign,
 		Forensic: &campaign.ForensicOptions{
 			Sink:     collector.add,
-			Campaign: lease.Campaign,
 			SpecHash: lease.Spec.Hash(),
 		},
 	}
@@ -276,17 +276,6 @@ type captureCollector struct {
 	caps []forensic.Capture
 }
 
-// capturePriority ranks a capture by its most severe kind.
-func capturePriority(c forensic.Capture) int {
-	p := 0
-	for _, k := range c.Kinds {
-		if kp := forensic.KindPriority(k); kp > p {
-			p = kp
-		}
-	}
-	return p
-}
-
 func (cc *captureCollector) add(c forensic.Capture) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -296,11 +285,11 @@ func (cc *captureCollector) add(c forensic.Capture) {
 	}
 	low := 0
 	for i := 1; i < len(cc.caps); i++ {
-		if capturePriority(cc.caps[i]) < capturePriority(cc.caps[low]) {
+		if forensic.Priority(cc.caps[i]) < forensic.Priority(cc.caps[low]) {
 			low = i
 		}
 	}
-	if capturePriority(c) > capturePriority(cc.caps[low]) {
+	if forensic.Priority(c) > forensic.Priority(cc.caps[low]) {
 		cc.caps[low] = c
 	}
 }

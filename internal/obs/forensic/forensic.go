@@ -258,8 +258,9 @@ func PrimaryKind(c Capture) string {
 	return best
 }
 
-// capturePriority is PrimaryKind's priority.
-func capturePriority(c Capture) int {
+// Priority ranks a capture by its most severe kind: PrimaryKind's
+// priority, the order eviction and the dist workers' wire cap share.
+func Priority(c Capture) int {
 	p := 0
 	for _, k := range c.Kinds {
 		if kp := KindPriority(k); kp > p {

@@ -15,7 +15,9 @@
 package obs
 
 import (
+	"context"
 	"expvar"
+	"log/slog"
 	"sync"
 )
 
@@ -49,3 +51,17 @@ func (r *Registry) PublishExpvar(name string) {
 	}
 	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
+
+// DiscardLogger returns a logger that drops every record — the default
+// wherever a component's Log option is nil. (slog.DiscardHandler arrives
+// in go1.24; this keeps the floor at the module's toolchain.)
+func DiscardLogger() *slog.Logger { return discardLogger }
+
+var discardLogger = slog.New(nopHandler{})
+
+type nopHandler struct{}
+
+func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d nopHandler) WithGroup(string) slog.Handler           { return d }

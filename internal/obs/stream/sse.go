@@ -177,78 +177,53 @@ func LastEventID(r *http.Request) (id uint64, ok bool) {
 	return id, true
 }
 
-// ServeOptions configures one SSE response served off a hub.
-type ServeOptions struct {
-	// Topic filters delivery ("" streams every topic).
-	Topic string
-	// Replay, when true, first replays retained events with ID > After.
-	// When false the stream starts at "now".
-	Replay bool
-	// After is the resume cursor used when Replay is set.
-	After uint64
-	// Keepalive is the comment cadence on an idle stream (0 means 15s).
-	Keepalive time.Duration
-	// Buffer is the subscriber buffer capacity (0 means
-	// DefaultSubscriberBuffer).
-	Buffer int
-	// Init, when non-nil, runs after headers are sent and replay is
-	// done, before live delivery — the place to write an orientation
-	// frame (e.g. current status).
-	Init func(w io.Writer) error
-	// Done, when non-nil, reports that ev is the stream's final event:
-	// Serve flushes it and returns nil.
-	Done func(ev *Event) bool
-}
+// keepalive is the SSE comment cadence that keeps idle connections
+// alive through proxies (a var so tests can shorten it).
+var keepalive = 15 * time.Second
 
 // errNoFlusher reports a ResponseWriter that cannot stream.
 var errNoFlusher = errors.New("stream: ResponseWriter does not implement http.Flusher")
 
-// Serve writes an SSE response from h until the client disconnects or
-// Done says the stream is complete. Publish-side slowness policy
-// applies: if this client stops reading, events drop (counted) rather
-// than backing up the publisher; the client sees the loss as an event
-// ID gap.
-func Serve(w http.ResponseWriter, r *http.Request, h *Hub, opt ServeOptions) error {
+// Serve writes topic's SSE feed from h. A non-nil final is written as
+// the single terminal frame (event type last) — for a topic that has
+// already finished, whose live events may have left the replay ring
+// long ago. Otherwise Serve replays the retained events after the
+// client's Last-Event-ID (all of them when it has none), then delivers
+// live until an event of type last arrives or the client disconnects.
+// Publish-side slowness policy applies: if this client stops reading,
+// events drop (counted) rather than backing up the publisher; the
+// client sees the loss as an event ID gap.
+func Serve(w http.ResponseWriter, r *http.Request, h *Hub, topic, last string, final []byte) error {
+	hdr := w.Header()
+	hdr.Set("Content-Type", "text/event-stream")
+	hdr.Set("Cache-Control", "no-cache")
+	hdr.Set("X-Accel-Buffering", "no")
+	if final != nil {
+		return EncodeFrame(w, Frame{Event: last, Data: final})
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return errNoFlusher
 	}
-	hdr := w.Header()
-	hdr.Set("Content-Type", "text/event-stream")
-	hdr.Set("Cache-Control", "no-cache")
-	hdr.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	sub := h.Subscribe(opt.Topic, opt.Buffer)
+	sub := h.Subscribe(topic, 0)
 	defer sub.Close()
 
-	last := opt.After
-	if opt.Replay {
-		for _, ev := range h.Replay(opt.Topic, opt.After) {
-			if err := EncodeFrame(w, Frame{ID: ev.ID, Event: ev.Type, Data: ev.Data}); err != nil {
-				return err
-			}
-			last = ev.ID
-			if opt.Done != nil && opt.Done(ev) {
-				fl.Flush()
-				return nil
-			}
-		}
-	} else {
-		last = h.LastID()
-	}
-	if opt.Init != nil {
-		if err := opt.Init(w); err != nil {
+	sent, _ := LastEventID(r)
+	for _, ev := range h.Replay(topic, sent) {
+		if err := EncodeFrame(w, Frame{ID: ev.ID, Event: ev.Type, Data: ev.Data}); err != nil {
 			return err
+		}
+		sent = ev.ID
+		if ev.Type == last {
+			fl.Flush()
+			return nil
 		}
 	}
 	fl.Flush()
 
-	keepalive := opt.Keepalive
-	if keepalive <= 0 {
-		keepalive = 15 * time.Second
-	}
 	tick := time.NewTicker(keepalive)
 	defer tick.Stop()
 	ctx := r.Context()
@@ -257,15 +232,15 @@ func Serve(w http.ResponseWriter, r *http.Request, h *Hub, opt ServeOptions) err
 		case <-ctx.Done():
 			return ctx.Err()
 		case ev := <-sub.Events():
-			if ev.ID <= last {
+			if ev.ID <= sent {
 				continue // already sent during replay
 			}
-			last = ev.ID
+			sent = ev.ID
 			if err := EncodeFrame(w, Frame{ID: ev.ID, Event: ev.Type, Data: ev.Data}); err != nil {
 				return err
 			}
 			fl.Flush()
-			if opt.Done != nil && opt.Done(ev) {
+			if ev.Type == last {
 				return nil
 			}
 		case <-tick.C:

@@ -111,15 +111,6 @@ func (h *Hub) Publish(topic, typ string, data []byte) uint64 {
 	return ev.ID
 }
 
-// LastID returns the most recently assigned event ID (0 before the
-// first publish, or on a nil hub).
-func (h *Hub) LastID() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.seq.Load()
-}
-
 // Replay returns the retained events with ID > after that match topic
 // ("" matches all), oldest first. Events already evicted from the ring
 // are not recoverable; callers see the loss as an ID gap.

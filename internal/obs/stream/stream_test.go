@@ -87,9 +87,6 @@ func TestNilHubIsSafe(t *testing.T) {
 	if evs := h.Replay("", 0); evs != nil {
 		t.Fatalf("nil hub Replay returned %v", evs)
 	}
-	if id := h.LastID(); id != 0 {
-		t.Fatalf("nil hub LastID returned %d", id)
-	}
 }
 
 // TestHubStalledSubscriberShedsLoad is the backpressure contract under
