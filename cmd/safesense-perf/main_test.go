@@ -29,9 +29,11 @@ func TestUsageAndBadCommand(t *testing.T) {
 	if code, _, _ := runCLI(t); code != 2 {
 		t.Errorf("no args: exit %d, want 2", code)
 	}
-	code, _, errOut := runCLI(t, "frobnicate")
-	if code != 2 || !strings.Contains(errOut, "unknown command") {
-		t.Errorf("bad command: exit %d, stderr %q", code, errOut)
+	for _, cmd := range []string{"frobnicate", "profile-diff"} {
+		code, _, errOut := runCLI(t, cmd)
+		if code != 2 || !strings.Contains(errOut, "unknown command") {
+			t.Errorf("%s: exit %d, stderr %q", cmd, code, errOut)
+		}
 	}
 	if code, out, _ := runCLI(t, "help"); code != 0 || !strings.Contains(out, "compare") {
 		t.Errorf("help: exit %d, out %q", code, out)

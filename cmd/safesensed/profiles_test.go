@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +14,19 @@ import (
 	"safesense/internal/obs/profile"
 )
 
-// testCapture fabricates a deterministic pprof capture and stores it.
+// testCapture stores the checked-in golden pprof capture (three
+// functions; half its CPU is labelled beat_extraction).
 func testCapture(t *testing.T, store *profile.Store) profile.Capture {
 	t.Helper()
-	p := &profile.Profile{
-		SampleType: []profile.ValueType{{Type: "cpu", Unit: "nanoseconds"}},
-		Sample: []profile.Sample{{
-			LocationID: []uint64{1},
-			Value:      []int64{5_000_000},
-			Label:      []profile.Label{{Key: profile.LabelPhase, Str: "beat_extraction"}},
-		}},
-		Location: []profile.Location{{ID: 1, Line: []profile.Line{{FunctionID: 1, Line: 10}}}},
-		Function: []profile.Function{{ID: 1, Name: "radar.MUSICExtractor.Extract"}},
+	raw, err := os.ReadFile("../../internal/obs/profile/testdata/cpu_golden.pprof.gz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw := profile.MarshalGzip(p)
-	sum, err := profile.Summarize(p, profile.SummaryOptions{})
+	p, err := profile.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := profile.Summarize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestProfilesListAndFetch(t *testing.T) {
 	if sum.Capture.ID != meta.ID || sum.Summary == nil {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if got := sum.Summary.PhaseShare("beat_extraction"); got != 1 {
+	if got := sum.Summary.PhaseShare("beat_extraction"); got != 0.5 {
 		t.Fatalf("beat_extraction share = %v", got)
 	}
 

@@ -115,7 +115,7 @@ func (p *Profiler) ingest(raw []byte) {
 		p.opts.Log.Error("profile capture undecodable", "error", err.Error())
 		return
 	}
-	sum, err := Summarize(prof, SummaryOptions{})
+	sum, err := Summarize(prof)
 	if err != nil {
 		metricCaptureErrors.With().Inc()
 		p.opts.Log.Error("profile capture unsummarizable", "error", err.Error())

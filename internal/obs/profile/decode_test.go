@@ -172,7 +172,7 @@ func TestDecodeGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode(golden): %v", err)
 	}
-	sum, err := Summarize(p, SummaryOptions{TopN: 5})
+	sum, err := Summarize(p)
 	if err != nil {
 		t.Fatalf("Summarize(golden): %v", err)
 	}
@@ -212,7 +212,7 @@ func TestRegenGoldenFixture(t *testing.T) {
 	if err := os.WriteFile(goldenCapture, MarshalGzip(p), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Summarize(p, SummaryOptions{TopN: 5})
+	sum, err := Summarize(p)
 	if err != nil {
 		t.Fatal(err)
 	}

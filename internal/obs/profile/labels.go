@@ -1,9 +1,10 @@
 // Package profile is the continuous-profiling plane: pprof goroutine
 // labels that attribute CPU samples to pipeline phases and campaign
 // jobs, a stdlib-only decoder for the gzip+protobuf pprof wire format,
-// summaries (top-N functions, per-phase CPU shares, alloc hotspots),
-// capture diffing, a bounded content-addressed capture store, and the
-// background profiler safesensed runs between requests.
+// a summary (top functions, per-phase CPU shares), a bounded
+// content-addressed capture store, and the background profiler
+// safesensed runs between requests. Offline summaries and diffs of raw
+// captures are left to `go tool pprof` (-tags, -top, -diff_base).
 //
 // The package deliberately imports neither internal/sim nor
 // internal/perf — both import it — so the label helpers and the decoder

@@ -2,26 +2,12 @@ package profile
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
 
-// DefaultTopN is the function-table size Summarize keeps when
-// SummaryOptions.TopN is zero.
-const DefaultTopN = 10
-
-// SummaryOptions selects what Summarize extracts.
-type SummaryOptions struct {
-	// TopN bounds the function table (zero means DefaultTopN).
-	TopN int
-	// SampleType picks the value dimension by type name (e.g. "cpu",
-	// "samples", "alloc_space"). Empty uses the profile's
-	// default_sample_type, falling back to the last dimension — which is
-	// "cpu"/nanoseconds for runtime CPU captures and "inuse_space" for
-	// heap captures, matching go tool pprof.
-	SampleType string
-}
+// topN bounds the summary's function tables (by flat and by cum).
+const topN = 10
 
 // FuncStat is one row of the summary's function table.
 type FuncStat struct {
@@ -67,22 +53,17 @@ type Summary struct {
 // resolved (stripped or foreign profiles).
 const unknownFunc = "(unknown)"
 
-// Summarize digests a decoded profile. It errors when the profile has
-// no sample types or the requested sample type does not exist; an empty
+// Summarize digests a decoded profile over its default_sample_type,
+// falling back to the last dimension — "cpu"/nanoseconds for runtime
+// CPU captures, matching go tool pprof. It errors when the profile has
+// no sample types or names a default type it does not carry; an empty
 // sample list yields a zero-total summary rather than an error, so
 // callers can distinguish "no samples landed" from "corrupt capture".
-func Summarize(p *Profile, opt SummaryOptions) (*Summary, error) {
+func Summarize(p *Profile) (*Summary, error) {
 	if len(p.SampleType) == 0 {
 		return nil, fmt.Errorf("profile: no sample types")
 	}
-	topN := opt.TopN
-	if topN <= 0 {
-		topN = DefaultTopN
-	}
-	want := opt.SampleType
-	if want == "" {
-		want = p.DefaultSampleType
-	}
+	want := p.DefaultSampleType
 	idx := -1
 	if want == "" {
 		idx = len(p.SampleType) - 1
@@ -254,27 +235,4 @@ func (s *Summary) PhaseShare(phase string) float64 {
 		}
 	}
 	return 0
-}
-
-// FormatSummary renders the summary as the text table safesim
-// -profile-summary and safesense-perf print.
-func FormatSummary(w io.Writer, s *Summary) {
-	fmt.Fprintf(w, "profile: %d samples, %d %s total", s.TotalSamples, s.Total, s.Unit)
-	if s.DurationNanos > 0 {
-		fmt.Fprintf(w, " over %.2fs", float64(s.DurationNanos)/1e9)
-	}
-	fmt.Fprintln(w)
-	if len(s.Phases) > 0 {
-		fmt.Fprintln(w, "phase CPU shares:")
-		for _, p := range s.Phases {
-			fmt.Fprintf(w, "  %6.2f%%  %s\n", p.Share*100, p.Value)
-		}
-	}
-	if len(s.Top) > 0 {
-		fmt.Fprintf(w, "top functions (%s):\n", s.SampleType)
-		fmt.Fprintf(w, "  %8s %8s  %s\n", "flat", "cum", "function")
-		for _, f := range s.Top {
-			fmt.Fprintf(w, "  %7.2f%% %7.2f%%  %s\n", f.FlatShare*100, f.CumShare*100, f.Name)
-		}
-	}
 }

@@ -1,12 +1,12 @@
 package profile
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 )
 
 func TestSummarizePhaseSharesAndTop(t *testing.T) {
-	sum, err := Summarize(testProfile(), SummaryOptions{})
+	sum, err := Summarize(testProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,44 +55,55 @@ func TestSummarizePhaseSharesAndTop(t *testing.T) {
 	}
 }
 
+// TestSummarizeSampleTypeSelection pins go tool pprof's dimension rule:
+// default_sample_type first, then the last dimension.
 func TestSummarizeSampleTypeSelection(t *testing.T) {
-	sum, err := Summarize(testProfile(), SummaryOptions{SampleType: "samples"})
+	p := testProfile()
+	p.DefaultSampleType = "samples"
+	sum, err := Summarize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Total != 6 || sum.Unit != "count" {
 		t.Fatalf("samples dimension: total=%d unit=%s", sum.Total, sum.Unit)
 	}
-	if _, err := Summarize(testProfile(), SummaryOptions{SampleType: "alloc_space"}); err == nil {
-		t.Fatal("Summarize accepted a missing sample type")
+	p.DefaultSampleType = ""
+	if sum, err = Summarize(p); err != nil || sum.SampleType != "cpu" {
+		t.Fatalf("no default type: got %+v, %v; want the last dimension (cpu)", sum, err)
 	}
-	if _, err := Summarize(&Profile{}, SummaryOptions{}); err == nil {
+	p.DefaultSampleType = "alloc_space"
+	if _, err := Summarize(p); err == nil {
+		t.Fatal("Summarize accepted a missing default sample type")
+	}
+	if _, err := Summarize(&Profile{}); err == nil {
 		t.Fatal("Summarize accepted a profile with no sample types")
+	}
+}
+
+func TestSummarizeBoundsTopTable(t *testing.T) {
+	p := &Profile{SampleType: []ValueType{{Type: "cpu", Unit: "nanoseconds"}}}
+	for i := 1; i <= 3*topN/2; i++ {
+		id := uint64(i)
+		p.Function = append(p.Function, Function{ID: id, Name: fmt.Sprintf("f%02d", i)})
+		p.Location = append(p.Location, Location{ID: id, Line: []Line{{FunctionID: id}}})
+		p.Sample = append(p.Sample, Sample{LocationID: []uint64{id}, Value: []int64{int64(i)}})
+	}
+	sum, err := Summarize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Top) != topN || sum.Top[0].Name != fmt.Sprintf("f%02d", 3*topN/2) {
+		t.Fatalf("top table = %+v, want the %d largest", sum.Top, topN)
 	}
 }
 
 func TestSummarizeEmptySamples(t *testing.T) {
 	p := &Profile{SampleType: []ValueType{{Type: "cpu", Unit: "nanoseconds"}}}
-	sum, err := Summarize(p, SummaryOptions{})
+	sum, err := Summarize(p)
 	if err != nil {
 		t.Fatalf("empty capture must summarize to zero, got error: %v", err)
 	}
 	if sum.Total != 0 || sum.TotalSamples != 0 || len(sum.Top) != 0 {
 		t.Fatalf("zero-sample summary = %+v", sum)
-	}
-}
-
-func TestFormatSummary(t *testing.T) {
-	sum, err := Summarize(testProfile(), SummaryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	FormatSummary(&b, sum)
-	out := b.String()
-	for _, want := range []string{"beat_extraction", "phase CPU shares", "top functions (cpu)", "radar.MUSICExtractor.Extract"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("formatted summary missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -29,9 +29,6 @@ func (t *Timer) Total() time.Duration { return t.total }
 // Calls returns how many spans have ended.
 func (t *Timer) Calls() int { return t.calls }
 
-// Reset zeroes the accumulator.
-func (t *Timer) Reset() { t.total, t.calls = 0, 0 }
-
 // Start opens a span; End it to accumulate.
 //
 //safesense:hotpath
@@ -41,29 +38,19 @@ func (t *Timer) Start() Span { return Span{t: t, start: clock()} }
 // and records nothing.
 type Span struct {
 	t     *Timer
-	h     *Histogram
 	start time.Time
 }
 
-// StartSpan opens a span that records its duration (in seconds) into h
-// when ended; h may be nil, which only measures.
-func StartSpan(h *Histogram) Span { return Span{h: h, start: clock()} }
-
-// End closes the span, accumulates into its Timer and/or Histogram, and
-// returns the elapsed duration.
+// End closes the span, accumulates into its Timer, and returns the
+// elapsed duration.
 //
 //safesense:hotpath
 func (s Span) End() time.Duration {
-	if s.start.IsZero() {
+	if s.t == nil {
 		return 0
 	}
 	d := clock().Sub(s.start)
-	if s.t != nil {
-		s.t.total += d
-		s.t.calls++
-	}
-	if s.h != nil {
-		s.h.Observe(d.Seconds())
-	}
+	s.t.total += d
+	s.t.calls++
 	return d
 }

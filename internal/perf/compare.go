@@ -3,8 +3,6 @@ package perf
 import (
 	"fmt"
 	"sort"
-
-	"safesense/internal/obs/profile"
 )
 
 // MetricDelta compares one metric of one scenario across two runs.
@@ -215,7 +213,7 @@ type Regression struct {
 	// HotFunctions names the functions whose flat CPU share grew between
 	// the two captures' embedded profiles (AttributeRegressions fills it
 	// when both sides carry one) — the gate's "what grew" answer.
-	HotFunctions []profile.FuncDelta `json:"hot_functions,omitempty"`
+	HotFunctions []FuncDelta `json:"hot_functions,omitempty"`
 }
 
 // Gate scans the report for statistically significant regressions

@@ -101,7 +101,7 @@ type ScenarioResult struct {
 
 	// Profile is the scenario's CPU attribution digest, present only
 	// when the capture ran with profiling enabled (Config.Profile).
-	Profile *ProfileSummary `json:"profile,omitempty"`
+	Profile *profile.Summary `json:"profile,omitempty"`
 }
 
 // Samples returns the named sample array: one of the core metrics or an

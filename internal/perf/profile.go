@@ -3,54 +3,10 @@ package perf
 import (
 	"bytes"
 	"runtime/pprof"
+	"sort"
 
 	"safesense/internal/obs/profile"
 )
-
-// ProfileSummary is the optional per-scenario CPU attribution embedded
-// in a BENCH document when the capture ran with profiling on: how the
-// scenario's CPU time split across the simulator's pipeline-phase pprof
-// labels, plus the top functions by flat share. It rides in an
-// omitempty field, so documents captured without -profile are
-// byte-identical to the pre-profile schema and no SchemaVersion bump is
-// needed.
-type ProfileSummary struct {
-	// TotalSamples counts the CPU samples the window collected; tiny
-	// values (< ~50) mean the shares are noisy.
-	TotalSamples int `json:"total_samples"`
-	// PhaseCPUShare maps sim phase label values (plus "(unlabeled)") to
-	// their fraction of the scenario's CPU total; the values sum to 1.
-	PhaseCPUShare map[string]float64 `json:"phase_cpu_share,omitempty"`
-	// Top is the union of the top functions by flat and cumulative CPU.
-	Top []profile.FuncStat `json:"top,omitempty"`
-}
-
-// Summary widens the embedded digest back into a profile.Summary so the
-// share-based profile.Diff machinery can compare two BENCH captures.
-// Flat values survive in Top; phase totals do not round-trip (only
-// shares are stored), so LabelShare.Total stays zero.
-func (ps *ProfileSummary) Summary() *profile.Summary {
-	if ps == nil {
-		return nil
-	}
-	s := &profile.Summary{
-		SampleType:   "cpu",
-		TotalSamples: ps.TotalSamples,
-		Top:          ps.Top,
-	}
-	for _, f := range ps.Top {
-		if f.Flat > s.Total {
-			// Best-effort total for display; shares are precomputed.
-			s.Total = f.Flat
-		}
-	}
-	for _, phase := range sortedFloatKeys(ps.PhaseCPUShare) {
-		s.Phases = append(s.Phases, profile.LabelShare{
-			Value: phase, Share: ps.PhaseCPUShare[phase],
-		})
-	}
-	return s
-}
 
 // scenarioProfile wraps one scenario's measured repetitions in a CPU
 // profile with the sim phase labels enabled.
@@ -73,7 +29,7 @@ func (sp *scenarioProfile) start() {
 
 // finish stops the capture and digests it. Decode or summarize failures
 // yield nil — attribution is advisory and never fails a measurement.
-func (sp *scenarioProfile) finish() *ProfileSummary {
+func (sp *scenarioProfile) finish() *profile.Summary {
 	if !sp.on {
 		return nil
 	}
@@ -84,18 +40,11 @@ func (sp *scenarioProfile) finish() *ProfileSummary {
 	if err != nil {
 		return nil
 	}
-	sum, err := profile.Summarize(p, profile.SummaryOptions{})
+	sum, err := profile.Summarize(p)
 	if err != nil {
 		return nil
 	}
-	ps := &ProfileSummary{TotalSamples: sum.TotalSamples, Top: sum.Top}
-	if len(sum.Phases) > 0 {
-		ps.PhaseCPUShare = make(map[string]float64, len(sum.Phases))
-		for _, ls := range sum.Phases {
-			ps.PhaseCPUShare[ls.Value] = ls.Share
-		}
-	}
-	return ps
+	return sum
 }
 
 // HotFunctionMinDeltaShare is the flat-share growth floor (one
@@ -103,16 +52,32 @@ func (sp *scenarioProfile) finish() *ProfileSummary {
 // regression.
 const HotFunctionMinDeltaShare = 0.01
 
+// FuncDelta is one function's flat-share movement between two
+// captures. Shares (fractions of each capture's own total) are compared
+// rather than raw values because the two windows rarely cover the same
+// wall time or sample count.
+type FuncDelta struct {
+	Name        string  `json:"name"`
+	BeforeShare float64 `json:"before_share"`
+	AfterShare  float64 `json:"after_share"`
+	DeltaShare  float64 `json:"delta_share"`
+	BeforeFlat  int64   `json:"before_flat"`
+	AfterFlat   int64   `json:"after_flat"`
+}
+
 // AttributeRegressions annotates gate findings with the functions whose
-// flat CPU share grew between the two captures' embedded profiles, so
-// the gate names suspects instead of just the scenario. Regressions
-// whose scenario lacks a profile on either side pass through unchanged.
+// flat CPU share grew by at least HotFunctionMinDeltaShare between the
+// two captures' embedded top tables, largest growth first (ties by
+// name), so the gate names suspects instead of just the scenario. A
+// function outside one side's top table counts as zero share there.
+// Regressions whose scenario lacks a profile on either side pass
+// through unchanged.
 func AttributeRegressions(regs []Regression, old, new *Run) []Regression {
 	if len(regs) == 0 {
 		return regs
 	}
-	profiles := func(r *Run) map[string]*ProfileSummary {
-		m := make(map[string]*ProfileSummary, len(r.Scenarios))
+	profiles := func(r *Run) map[string]*profile.Summary {
+		m := make(map[string]*profile.Summary, len(r.Scenarios))
 		for i := range r.Scenarios {
 			m[r.Scenarios[i].Name] = r.Scenarios[i].Profile
 		}
@@ -124,8 +89,37 @@ func AttributeRegressions(regs []Regression, old, new *Run) []Regression {
 		if before == nil || after == nil {
 			continue
 		}
-		d := profile.Diff(before.Summary(), after.Summary())
-		regs[i].HotFunctions = d.Growers(HotFunctionMinDeltaShare)
+		regs[i].HotFunctions = growers(before.Top, after.Top)
 	}
 	return regs
+}
+
+// growers lists the functions whose flat share grew by at least
+// HotFunctionMinDeltaShare from before to after.
+func growers(before, after []profile.FuncStat) []FuncDelta {
+	prior := make(map[string]profile.FuncStat, len(before))
+	for _, f := range before {
+		prior[f.Name] = f
+	}
+	var out []FuncDelta
+	for _, f := range after {
+		b := prior[f.Name]
+		if d := f.FlatShare - b.FlatShare; d >= HotFunctionMinDeltaShare {
+			out = append(out, FuncDelta{
+				Name:        f.Name,
+				BeforeShare: b.FlatShare,
+				AfterShare:  f.FlatShare,
+				DeltaShare:  d,
+				BeforeFlat:  b.Flat,
+				AfterFlat:   f.Flat,
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].DeltaShare != out[j].DeltaShare {
+			return out[i].DeltaShare > out[j].DeltaShare
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
 }

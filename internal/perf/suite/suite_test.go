@@ -1,6 +1,11 @@
 package suite
 
 import (
+	"io"
+	"math"
+	"path/filepath"
+	"reflect"
+	"runtime/pprof"
 	"testing"
 
 	"safesense/internal/perf"
@@ -107,5 +112,56 @@ func TestKernelsThroughRunner(t *testing.T) {
 		if len(sr.Extra[perf.ExtraHeapBytes]) != 2 {
 			t.Errorf("%s: runtime extras missing", sr.Name)
 		}
+	}
+}
+
+// TestProfiledCapture runs fig2a_dos the way `safesense-perf run
+// -profile` does and checks the embedded CPU digest survives the BENCH
+// file round trip. A short window can catch zero samples, so the phase
+// shares are only checked when some landed.
+func TestProfiledCapture(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("CPU profiler already in use: %v", err)
+	}
+	pprof.StopCPUProfile()
+	scenarios, err := Default().Match("^fig2a_dos$")
+	if err != nil || len(scenarios) != 1 {
+		t.Fatalf("matched %d scenarios, err %v", len(scenarios), err)
+	}
+	r := perf.NewRunner(perf.RunnerConfig{Reps: 2, Warmup: -1, MinRepMillis: 1, MaxInner: 4, Profile: true})
+	run, err := r.RunSuite(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Config.Profile {
+		t.Error("Config.Profile = false for a profiled capture")
+	}
+	sum := run.Scenarios[0].Profile
+	if sum == nil {
+		t.Fatal("profiled capture embedded no summary")
+	}
+	if sum.SampleType != "cpu" {
+		t.Errorf("sample type = %q, want cpu", sum.SampleType)
+	}
+	if sum.TotalSamples > 0 {
+		var shares float64
+		for _, p := range sum.Phases {
+			shares += p.Share
+		}
+		if math.Abs(shares-1) > 1e-9 {
+			t.Errorf("phase shares sum to %v over %d samples, want 1", shares, sum.TotalSamples)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH_0001.json")
+	if err := perf.WriteRunFile(path, run); err != nil {
+		t.Fatal(err)
+	}
+	back, err := perf.ReadRunFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Scenarios[0].Profile, sum) {
+		t.Fatalf("summary changed in the round trip:\ngot  %+v\nwant %+v", back.Scenarios[0].Profile, sum)
 	}
 }

@@ -48,7 +48,7 @@ func TestProfileSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding own capture: %v", err)
 	}
-	sum, err := profile.Summarize(p, profile.SummaryOptions{})
+	sum, err := profile.Summarize(p)
 	if err != nil {
 		t.Fatalf("summarizing own capture: %v", err)
 	}
