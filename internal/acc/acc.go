@@ -186,6 +186,8 @@ func clamp(v, lo, hi float64) float64 {
 type LowerController struct {
 	sys *lti.System
 	aF  []float64
+	// Step scratch: the next state, the input and the B u term.
+	next, u, bu []float64
 }
 
 // NewLowerController builds the lower-level loop from the configuration.
@@ -197,13 +199,23 @@ func NewLowerController(cfg Config) (*LowerController, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LowerController{sys: sys, aF: []float64{0}}, nil
+	return &LowerController{
+		sys:  sys,
+		aF:   []float64{0},
+		next: make([]float64, 1),
+		u:    make([]float64, 1),
+		bu:   make([]float64, 1),
+	}, nil
 }
 
 // Step advances the actuator state one sample toward aDes and returns the
 // realized vehicle acceleration a_F.
+//
+//safesense:hotpath
 func (l *LowerController) Step(aDes float64) float64 {
-	l.aF = l.sys.Step(l.aF, []float64{aDes})
+	l.u[0] = aDes
+	l.sys.StepTo(l.next, l.bu, l.aF, l.u)
+	l.aF, l.next = l.next, l.aF
 	return l.aF[0]
 }
 
@@ -231,6 +243,8 @@ func NewController(cfg Config) (*Controller, error) {
 
 // Step runs one full control cycle and returns the command and realized
 // acceleration.
+//
+//safesense:hotpath
 func (c *Controller) Step(d, dv, vF float64, hasTarget bool) (Command, float64) {
 	cmd := c.Upper.Step(d, dv, vF, hasTarget)
 	return cmd, c.Lower.Step(cmd.ADes)

@@ -30,6 +30,7 @@ type Predictor struct {
 	rls   *RLS
 	cfg   PredictorConfig
 	shift *mat.Dense // one-step basis translation matrix
+	h     []float64  // regressor scratch for nowBasis and horizonBasis
 	n     int        // samples observed since the last reset
 	ahead int        // free-run steps since the last Observe
 	wall  int        // wall-clock step of the last Observe/SkipStep/Predict
@@ -103,6 +104,7 @@ func NewPredictor(cfg PredictorConfig) (*Predictor, error) {
 		rls:   r,
 		cfg:   cfg,
 		shift: shiftMatrix(cfg.Degree, 1/cfg.TimeScale),
+		h:     make([]float64, cfg.Degree+1),
 		wall:  -1,
 	}, nil
 }
@@ -126,17 +128,20 @@ func shiftMatrix(degree int, s float64) *mat.Dense {
 }
 
 // nowBasis is the regressor for "the current step" in recentered
-// coordinates: [1, 0, 0, ...].
+// coordinates: [1, 0, 0, ...]. It returns the predictor's one regressor
+// buffer, which the next nowBasis or horizonBasis call overwrites.
 func (p *Predictor) nowBasis() []float64 {
-	h := make([]float64, p.cfg.Degree+1)
+	h := p.h
+	clear(h)
 	h[0] = 1
 	return h
 }
 
-// horizonBasis evaluates the basis at j steps ahead of the current origin.
+// horizonBasis evaluates the basis at j steps ahead of the current
+// origin, in the buffer nowBasis also uses.
 func (p *Predictor) horizonBasis(j int) []float64 {
 	tau := float64(j) / p.cfg.TimeScale
-	h := make([]float64, p.cfg.Degree+1)
+	h := p.h
 	v := 1.0
 	for i := range h {
 		h[i] = v
@@ -156,20 +161,22 @@ func (p *Predictor) Ready() bool { return p.n >= p.cfg.Degree+1 }
 // before free-running — otherwise corrupted samples absorbed between
 // attack onset and detection would poison the extrapolated trend.
 func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		rls:         p.rls.Clone(),
-		cfg:         p.cfg,
-		shift:       p.shift, // immutable
-		n:           p.n,
-		ahead:       p.ahead,
-		wall:        p.wall,
-		sigma2:      p.sigma2,
-		sigmaN:      p.sigmaN,
-		gPos:        p.gPos,
-		gNeg:        p.gNeg,
-		resets:      p.resets,
-		freeRunning: p.freeRunning,
-	}
+	c := &Predictor{rls: p.rls.Clone(), h: make([]float64, len(p.h))}
+	c.copyFrom(p)
+	return c
+}
+
+// copyFrom overwrites p's state with src's without allocating: Clone
+// into an existing predictor built from the same configuration. The
+// shift matrix is shared (it is immutable); the filter and the
+// regressor buffer stay p's own.
+//
+//safesense:hotpath
+func (p *Predictor) copyFrom(src *Predictor) {
+	rls, h := p.rls, p.h
+	*p = *src
+	p.rls, p.h = rls, h
+	p.rls.copyFrom(src.rls)
 }
 
 // Resets returns how many CUSUM-triggered refits have occurred.
@@ -177,6 +184,8 @@ func (p *Predictor) Resets() int { return p.resets }
 
 // Observe trains on a trusted measurement (no attack in progress) and
 // returns the one-step-ahead prediction that was made for it.
+//
+//safesense:hotpath
 func (p *Predictor) Observe(y float64) (pred float64, err error) {
 	p.freeRunning = false
 	// Advance the basis origin by every elapsed step, including any
@@ -201,13 +210,7 @@ func (p *Predictor) Observe(y float64) (pred float64, err error) {
 		// so the level (the current fitted value, which after the reset's
 		// Update below absorbs the newest sample too) is preserved and
 		// only the higher-order weights and the covariance reset.
-		w := p.rls.Weights()
-		for i := 1; i < len(w); i++ {
-			w[i] = 0
-		}
-		if err := p.rls.SetState(w, p.cfg.Delta); err != nil {
-			return 0, err
-		}
+		p.rls.keepLevel(p.cfg.Delta)
 		p.n, p.sigma2, p.sigmaN, p.gPos, p.gNeg = 0, 0, 0, 0, 0
 		p.resets++
 		if _, _, err := p.rls.Update(p.nowBasis(), y); err != nil {
@@ -252,6 +255,8 @@ func (p *Predictor) regimeChanged(e float64) bool {
 // Predict produces the next estimated measurement while the sensor is under
 // attack (Algorithm 2 line 11) by evaluating the frozen fit one more step
 // ahead. Successive calls free-run forward in time.
+//
+//safesense:hotpath
 func (p *Predictor) Predict() float64 {
 	p.freeRunning = true
 	p.ahead++
@@ -264,6 +269,8 @@ func (p *Predictor) Predict() float64 {
 // instants — the radar produced no measurement, but wall-clock time still
 // passed, and without the skip every later prediction would lag truth by
 // one step per elapsed challenge.
+//
+//safesense:hotpath
 func (p *Predictor) SkipStep() { p.ahead++; p.wall++ }
 
 // Wall returns the wall-clock step of the last Observe, SkipStep, or

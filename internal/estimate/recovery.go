@@ -62,6 +62,8 @@ func NewRecoveryEstimator(cfg PredictorConfig) (*RecoveryEstimator, error) {
 
 // Observe trains on a trusted radar measurement (d, dv) with the follower's
 // own speed vF. It resets any free-run in progress.
+//
+//safesense:hotpath
 func (r *RecoveryEstimator) Observe(d, dv, vF float64) error {
 	if r.freeRunning {
 		r.freeRunning = false
@@ -107,6 +109,8 @@ func (r *RecoveryEstimator) CatchUp() {
 // The first call after training seeds the distance from the RLS distance
 // trend; subsequent calls integrate the kinematics. The leader speed is
 // clamped at zero (vehicles do not reverse) and the distance at zero.
+//
+//safesense:hotpath
 func (r *RecoveryEstimator) Predict(vF float64) (d, dv float64) {
 	if !r.freeRunning {
 		r.freeRunning = true
@@ -135,12 +139,22 @@ func (r *RecoveryEstimator) Predict(vF float64) (d, dv float64) {
 // Clone deep-copies the estimator (see Predictor.Clone for why the
 // simulation snapshots it at verified-clean challenge instants).
 func (r *RecoveryEstimator) Clone() *RecoveryEstimator {
-	return &RecoveryEstimator{
-		dist:         r.dist.Clone(),
-		leader:       r.leader.Clone(),
-		estD:         r.estD,
-		seeded:       r.seeded,
-		freeRunning:  r.freeRunning,
-		onTransition: r.onTransition,
-	}
+	c := &RecoveryEstimator{dist: r.dist.Clone(), leader: r.leader.Clone()}
+	c.CopyFrom(r)
+	return c
+}
+
+// CopyFrom overwrites r with src's state, transition hook included,
+// without allocating: the result is indistinguishable from src.Clone().
+// r and src must have been built from the same PredictorConfig. The
+// simulation keeps one preallocated snapshot estimator and copies into
+// it at every verified-clean challenge instant, and back on rollback.
+//
+//safesense:hotpath
+func (r *RecoveryEstimator) CopyFrom(src *RecoveryEstimator) {
+	dist, leader := r.dist, r.leader
+	*r = *src
+	r.dist, r.leader = dist, leader
+	r.dist.copyFrom(src.dist)
+	r.leader.copyFrom(src.leader)
 }

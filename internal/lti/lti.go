@@ -62,9 +62,23 @@ func (s *System) OutputDim() int { r, _ := s.C.Dims(); return r }
 
 // Step advances the state one sample: x' = A x + B u.
 func (s *System) Step(x, u []float64) []float64 {
-	ax := s.A.MulVec(x)
-	bu := s.B.MulVec(u)
-	return mat.AddVec(ax, bu)
+	n := s.StateDim()
+	next := make([]float64, n)
+	s.StepTo(next, make([]float64, n), x, u)
+	return next
+}
+
+// StepTo is Step without allocation: it writes A x + B u into dst,
+// using bu (length n) as scratch for the B u term. dst must not alias
+// x. The sums are formed in the same order as Step's.
+//
+//safesense:hotpath
+func (s *System) StepTo(dst, bu, x, u []float64) {
+	s.A.MulVecTo(dst, x)
+	s.B.MulVecTo(bu, u)
+	for i, v := range bu {
+		dst[i] += v
+	}
 }
 
 // Output returns y = C x + v with v drawn from src (or zero if src is nil

@@ -213,3 +213,33 @@ func TestFirstOrderLagTracksWithinBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStepToMatchesAllocatingFormBits holds the in-place step to the
+// allocating formula it replaced, mat.AddVec(A.MulVec(x), B.MulVec(u)),
+// bit for bit, and to zero allocations.
+func TestStepToMatchesAllocatingFormBits(t *testing.T) {
+	src := noise.NewSource(9)
+	a := mat.NewDenseData(3, 3, src.GaussianVec(9, 0, 0.3))
+	b := mat.NewDenseData(3, 2, src.GaussianVec(6, 0, 1))
+	c := mat.NewDenseData(1, 3, []float64{1, 0, 0})
+	s, err := NewSystem(a, b, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, next, bu := src.GaussianVec(3, 0, 1), make([]float64, 3), make([]float64, 3)
+	for k := 0; k < 1000; k++ {
+		u := src.GaussianVec(2, 0, 1)
+		want := mat.AddVec(a.MulVec(x), b.MulVec(u))
+		s.StepTo(next, bu, x, u)
+		for i := range want {
+			if math.Float64bits(next[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("step %d: x'[%d] = %v, want %v", k, i, next[i], want[i])
+			}
+		}
+		x, next = next, x
+	}
+	u := []float64{0.1, -0.2}
+	if avg := testing.AllocsPerRun(200, func() { s.StepTo(next, bu, x, u) }); avg != 0 {
+		t.Fatalf("StepTo: %v allocs/op, want 0", avg)
+	}
+}

@@ -10,9 +10,18 @@
 package mat
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
+)
+
+// Panic values of the kernels that //safesense:hotpath callers reach
+// (MulTo, MulTransTo, MulVecTo, Dot, Axpy). They are built once, so a
+// dimension check boxes nothing into panic's interface argument.
+var (
+	errDims  = errors.New("mat: dimension mismatch")
+	errAlias = errors.New("mat: destination aliases an operand")
 )
 
 // Dense is a row-major dense matrix.
@@ -163,20 +172,61 @@ func (m *Dense) Mul(b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	out := NewDense(m.rows, b.cols)
+	m.MulTo(out, b)
+	return out
+}
+
+// MulTo writes the matrix product m*b into dst, which must be
+// m.Rows() x b.Cols() and must not alias m or b. Zero entries of m are
+// skipped; the loop order is the one Mul has always used, so the
+// result is bit-identical to m.Mul(b).
+func (m *Dense) MulTo(dst, b *Dense) {
+	if m.cols != b.rows || dst.rows != m.rows || dst.cols != b.cols {
+		panic(errDims)
+	}
+	if dst == m || dst == b {
+		panic(errAlias)
+	}
+	clear(dst.data)
 	for i := 0; i < m.rows; i++ {
+		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
 		for k := 0; k < m.cols; k++ {
 			a := m.data[i*m.cols+k]
 			if a == 0 {
 				continue
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for j, bv := range brow {
 				orow[j] += a * bv
 			}
 		}
 	}
-	return out
+}
+
+// MulTransTo writes m*b^T into dst, which must be m.Rows() x b.Rows()
+// and must not alias m or b. It reads b^T in place instead of
+// materializing it, in Mul's loop order, so the result is
+// bit-identical to m.Mul(b.T()).
+func (m *Dense) MulTransTo(dst, b *Dense) {
+	if m.cols != b.cols || dst.rows != m.rows || dst.cols != b.rows {
+		panic(errDims)
+	}
+	if dst == m || dst == b {
+		panic(errAlias)
+	}
+	clear(dst.data)
+	for i := 0; i < m.rows; i++ {
+		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			if a == 0 {
+				continue
+			}
+			for j := range orow {
+				orow[j] += a * b.data[j*b.cols+k]
+			}
+		}
+	}
 }
 
 // MulVec returns the matrix-vector product m*x.
@@ -185,16 +235,29 @@ func (m *Dense) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.rows)
+	m.MulVecTo(out, x)
+	return out
+}
+
+// MulVecTo writes m*x into dst, which must have length m.Rows() and
+// must not alias x.
+func (m *Dense) MulVecTo(dst, x []float64) {
+	if m.cols != len(x) || m.rows != len(dst) {
+		panic(errDims)
+	}
 	for i := 0; i < m.rows; i++ {
 		s := 0.0
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
+
+// RawData returns m's row-major backing slice. Writes through it
+// modify m; in-place kernels use it to avoid the bounds-checked At/Set.
+func (m *Dense) RawData() []float64 { return m.data }
 
 func (m *Dense) sameDims(b *Dense, op string) {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -276,15 +339,4 @@ func (m *Dense) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Outer returns the outer product x*y^T.
-func Outer(x, y []float64) *Dense {
-	m := NewDense(len(x), len(y))
-	for i, xv := range x {
-		for j, yv := range y {
-			m.data[i*m.cols+j] = xv * yv
-		}
-	}
-	return m
 }

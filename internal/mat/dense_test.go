@@ -188,3 +188,43 @@ func TestFrobeniusAndMaxAbs(t *testing.T) {
 		t.Fatalf("MaxAbs = %v", got)
 	}
 }
+
+func TestMulTransToMatchesMulOfTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b := randDense(rng, 3, 4), randDense(rng, 5, 4)
+	a.Set(1, 2, 0) // exercise the skipped-zero path
+	want := a.Mul(b.T())
+	got := NewDense(3, 5)
+	a.MulTransTo(got, b)
+	if !got.EqualApprox(want, 0) {
+		t.Fatalf("MulTransTo = %v, want %v", got, want)
+	}
+	sq := randDense(rng, 3, 3)
+	for name, f := range map[string]func(){
+		"MulTo aliasing":      func() { sq.MulTo(sq, sq) },
+		"MulTransTo aliasing": func() { sq.MulTransTo(sq, randDense(rng, 3, 3)) },
+		"MulTo shape":         func() { sq.MulTo(NewDense(2, 3), sq) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// Outer returns the outer product x*y^T. The in-place RLS update
+// computes its rank-one term itself, so only tests build outer
+// products.
+func Outer(x, y []float64) *Dense {
+	m := NewDense(len(x), len(y))
+	for i, xv := range x {
+		for j, yv := range y {
+			m.data[i*m.cols+j] = xv * yv
+		}
+	}
+	return m
+}

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector helpers. Vectors are plain []float64 so callers can build them with
 // ordinary slice syntax; these functions provide the handful of BLAS-1 style
@@ -12,7 +9,7 @@ import (
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
+		panic(errDims)
 	}
 	s := 0.0
 	for i, v := range x {
@@ -75,19 +72,10 @@ func SubVec(x, y []float64) []float64 {
 	return out
 }
 
-// ScaleVec returns s*x as a new slice.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
-	}
-	return out
-}
-
 // Axpy computes y += a*x in place.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
-		panic("mat: Axpy length mismatch")
+		panic(errDims)
 	}
 	for i, v := range x {
 		y[i] += a * v

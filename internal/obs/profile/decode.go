@@ -212,7 +212,7 @@ func maybeGunzip(data []byte) ([]byte, error) {
 // Profile with string indices resolved. The decode is strict about
 // structure — truncated varints, bad wire types, out-of-range string
 // indices, and sample/sample-type arity mismatches are errors — so
-// everything downstream (Summarize, Diff, the HTTP endpoints) can trust
+// everything downstream (Summarize, the HTTP endpoints) can trust
 // the shape.
 func Decode(data []byte) (*Profile, error) {
 	raw, err := maybeGunzip(data)

@@ -53,11 +53,10 @@ func DefaultClosedFormModel() ClosedFormModel {
 	return ClosedFormModel{DistStdRef: 0.5, VelStdRef: 0.12, RefDist: 100}
 }
 
-// Stds returns the distance and velocity noise standard deviations at
-// distance d.
-func (c ClosedFormModel) Stds(p Params, d float64) (stdD, stdV float64) {
-	refSNR := p.ReceivedPower(c.RefDist, p.TargetRCS) / p.NoiseFloor()
-	snr := p.ReceivedPower(d, p.TargetRCS) / p.NoiseFloor()
+// stds returns the distance and velocity noise standard deviations of
+// a return whose SNR is snr, given the SNR refSNR at RefDist: both scale
+// as sqrt(refSNR / snr).
+func (c ClosedFormModel) stds(refSNR, snr float64) (stdD, stdV float64) {
 	scale := math.Sqrt(refSNR / snr)
 	return c.DistStdRef * scale, c.VelStdRef * scale
 }
@@ -67,10 +66,19 @@ func (c ClosedFormModel) Stds(p Params, d float64) (stdD, stdV float64) {
 // source. It produces the *clean* (pre-attack) measurement stream; attacks
 // from internal/attack transform its output the way a jammer or spoofer
 // transforms the physical channel.
+//
+// NewFrontEnd evaluates everything in the link budget that does not
+// depend on distance once — the range-equation constants for the
+// target, the noise floor and the model's reference SNR — so Observe
+// costs one Pow(d, 4). Build a new front end to change Params.
 type FrontEnd struct {
 	Params   Params
 	Schedule prbs.Schedule
-	Model    ClosedFormModel
+
+	model      ClosedFormModel
+	target     linkBudget // range equation at Params.TargetRCS
+	noiseFloor float64    // Params.NoiseFloor()
+	refSNR     float64    // SNR at model.RefDist
 
 	src *noise.Source
 }
@@ -86,7 +94,16 @@ func NewFrontEnd(p Params, sched prbs.Schedule, src *noise.Source) (*FrontEnd, e
 	if src == nil {
 		return nil, errors.New("radar: nil noise source")
 	}
-	return &FrontEnd{Params: p, Schedule: sched, Model: DefaultClosedFormModel(), src: src}, nil
+	f := &FrontEnd{
+		Params:     p,
+		Schedule:   sched,
+		model:      DefaultClosedFormModel(),
+		target:     p.linkBudget(p.TargetRCS),
+		noiseFloor: p.NoiseFloor(),
+		src:        src,
+	}
+	f.refSNR = f.target.received(f.model.RefDist) / f.noiseFloor
+	return f, nil
 }
 
 // Observe produces the step-k measurement for a true target at distance
@@ -96,6 +113,8 @@ func NewFrontEnd(p Params, sched prbs.Schedule, src *noise.Source) (*FrontEnd, e
 // the receiver reports (0, 0) at the noise floor — the zero spikes of the
 // paper's figures. Outside the operating range the radar reports the range
 // limit at the noise floor (no detectable return).
+//
+//safesense:hotpath
 func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 	challenge := f.Schedule.Challenge(k)
 	if challenge {
@@ -110,12 +129,13 @@ func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 		d := math.Min(math.Max(dTrue, f.Params.MinRangeM), f.Params.MaxRangeM)
 		return Measurement{K: k, Distance: d, RelVelocity: 0, Power: f.noisePowerSample()}
 	}
-	stdD, stdV := f.Model.Stds(f.Params, dTrue)
+	pr := f.target.received(dTrue)
+	stdD, stdV := f.model.stds(f.refSNR, pr/f.noiseFloor)
 	return Measurement{
 		K:           k,
 		Distance:    f.src.Gaussian(dTrue, stdD),
 		RelVelocity: f.src.Gaussian(vRelTrue, stdV),
-		Power:       f.Params.ReceivedPower(dTrue, f.Params.TargetRCS),
+		Power:       pr,
 	}
 }
 
@@ -123,7 +143,7 @@ func (f *FrontEnd) Observe(k int, dTrue, vRelTrue float64) Measurement {
 // estimate (chi-squared spread around NoiseFloor), so challenge instants
 // are near zero but not exactly zero, as in real hardware.
 func (f *FrontEnd) noisePowerSample() float64 {
-	nf := f.Params.NoiseFloor()
+	nf := f.noiseFloor
 	v := f.src.Gaussian(nf, nf/4)
 	if v < 0 {
 		v = 0
@@ -135,5 +155,5 @@ func (f *FrontEnd) noisePowerSample() float64 {
 // transmission, quiet channel" from "energy present": a safe multiple of
 // the noise floor, far below any in-range target return or jammer.
 func (f *FrontEnd) ZeroThreshold() float64 {
-	return 10 * f.Params.NoiseFloor()
+	return 10 * f.noiseFloor
 }

@@ -136,14 +136,35 @@ func (p Params) FromBeats(fbUp, fbDown float64) (d, vRel float64) {
 //
 //	Pr = Pt G^2 lambda^2 sigma / ((4 pi)^3 d^4 L)
 func (p Params) ReceivedPower(d, sigma float64) float64 {
+	return p.linkBudget(sigma).received(d)
+}
+
+// linkBudget holds the distance-independent factors of the range
+// equation for one target cross-section, so a caller that evaluates
+// it every step (FrontEnd) pays one Pow(d, 4) per evaluation.
+type linkBudget struct {
+	num  float64 // Pt G^2 lambda^2 sigma
+	geom float64 // (4 pi)^3
+	loss float64 // L, linear
+}
+
+func (p Params) linkBudget(sigma float64) linkBudget {
+	g := units.DBToLinear(p.AntennaGainDBi)
+	return linkBudget{
+		num:  p.TransmitPowerW * g * g * p.WavelengthM * p.WavelengthM * sigma,
+		geom: math.Pow(4*math.Pi, 3),
+		loss: units.DBToLinear(p.SystemLossDB),
+	}
+}
+
+// received evaluates Eqn 9 at distance d (+Inf for d <= 0).
+//
+//safesense:hotpath
+func (b linkBudget) received(d float64) float64 {
 	if d <= 0 {
 		return math.Inf(1)
 	}
-	g := units.DBToLinear(p.AntennaGainDBi)
-	l := units.DBToLinear(p.SystemLossDB)
-	num := p.TransmitPowerW * g * g * p.WavelengthM * p.WavelengthM * sigma
-	den := math.Pow(4*math.Pi, 3) * math.Pow(d, 4) * l
-	return num / den
+	return b.num / (b.geom * math.Pow(d, 4) * b.loss)
 }
 
 // NoiseFloor returns the receiver noise power in the sampled baseband

@@ -64,3 +64,24 @@ func TestFlightRecorderEndStepZeroAlloc(t *testing.T) {
 	// store.
 	assertZeroAllocs(t, "endStep", func() { fr.endStep(st) })
 }
+
+// maxClosedFormRunAllocs caps the heap allocations of one closed-form
+// figure run. The step loop allocates nothing, so what remains is a
+// per-run constant (the Result and its presized traces, the estimator,
+// controller and front end, the flight recorder): 126 for every
+// figure scenario when the cap was set, from 9,369 when every RLS
+// update and basis shift built fresh matrices.
+const maxClosedFormRunAllocs = 140
+
+func TestClosedFormRunAllocsBounded(t *testing.T) {
+	for _, s := range []Scenario{Fig2aDoS(), Fig2bDelay(), Fig3aDoS(), Fig3bDelay()} {
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := Run(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > maxClosedFormRunAllocs {
+			t.Errorf("%s: %v allocs per run, want at most %d", s.Name, avg, maxClosedFormRunAllocs)
+		}
+	}
+}

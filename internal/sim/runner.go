@@ -152,14 +152,17 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		CollisionAt: -1,
 		MinGap:      vehicle.Gap(leader, follower),
 	}
-	dTrue := res.Distance.Add(SeriesTrue)
-	dMeas := res.Distance.Add(SeriesMeasured)
-	dEst := res.Distance.Add(SeriesEstimated)
-	vTrue := res.Velocity.Add(SeriesTrue)
-	vMeas := res.Velocity.Add(SeriesMeasured)
-	vEst := res.Velocity.Add(SeriesEstimated)
-	spF := res.Speeds.Add(SeriesFollower)
-	spL := res.Speeds.Add(SeriesLeader)
+	// Every series, the event log and the estimate-vs-truth slices are
+	// sized for the whole run up front, so the step loop never regrows
+	// them.
+	dTrue := addSeries(res.Distance, SeriesTrue, s.Steps)
+	dMeas := addSeries(res.Distance, SeriesMeasured, s.Steps)
+	dEst := addSeries(res.Distance, SeriesEstimated, s.Steps)
+	vTrue := addSeries(res.Velocity, SeriesTrue, s.Steps)
+	vMeas := addSeries(res.Velocity, SeriesMeasured, s.Steps)
+	vEst := addSeries(res.Velocity, SeriesEstimated, s.Steps)
+	spF := addSeries(res.Speeds, SeriesFollower, s.Steps)
+	spL := addSeries(res.Speeds, SeriesLeader, s.Steps)
 
 	// Held values bridge challenge instants when no measurement exists.
 	heldD, heldV := s.InitialGap, 0.0
@@ -167,10 +170,21 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 
 	// Rollback bookkeeping: CRA verifies the channel only at challenge
 	// instants, so when an attack is detected every sample since the last
-	// clean challenge is suspect. The predictor is snapshotted at each
-	// verified-clean challenge and rolled back on detection, then caught
-	// up to "now" with discarded free-run steps.
+	// clean challenge is suspect. The predictor is copied into a
+	// preallocated snapshot at each verified-clean challenge and copied
+	// back on detection, then caught up to "now" with discarded free-run
+	// steps.
 	var predSnapshot *estimate.RecoveryEstimator
+	haveSnapshot := false
+
+	if s.Defended {
+		res.Events = make([]cra.Event, 0, s.Steps)
+		estD, estV = make([]float64, 0, s.Steps), make([]float64, 0, s.Steps)
+		truthD, truthV = make([]float64, 0, s.Steps), make([]float64, 0, s.Steps)
+		if predSnapshot, err = estimate.NewRecoveryEstimator(s.Predictor); err != nil {
+			return nil, err
+		}
+	}
 
 	for k := 0; k < s.Steps; k++ {
 		fr.k = k
@@ -217,17 +231,18 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 			case ev.Challenged && ev.State == cra.Clear && atk.Active(k):
 				fr.flagAnomaly(AnomalyFalseNegative, "quiet challenge under active attack")
 			}
-			if ev.Detected && predSnapshot != nil {
+			if ev.Detected && haveSnapshot {
 				// Discard the possibly poisoned samples absorbed since
 				// the last verified-clean challenge: restore and free-run
 				// the restored filter up to the current step.
-				pred = predSnapshot.Clone()
+				pred.CopyFrom(predSnapshot)
 				for pred.Wall() < k-1 {
 					pred.CatchUp()
 				}
 			}
 			if ev.Challenged && ev.State == cra.Clear {
-				predSnapshot = pred.Clone()
+				predSnapshot.CopyFrom(pred)
+				haveSnapshot = true
 			}
 		}
 		switch {
@@ -337,6 +352,14 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// addSeries adds the named series to set with room for steps samples.
+func addSeries(set *trace.Set, name string, steps int) *trace.Series {
+	sr := set.Add(name)
+	sr.T = make([]int, 0, steps)
+	sr.Y = make([]float64, 0, steps)
+	return sr
 }
 
 func buildAttack(s Scenario, src *noise.Source) (attack.Attack, error) {
