@@ -60,6 +60,10 @@ func (m *Dense) Set(i, j int, v complex128) {
 	m.data[i*m.cols+j] = v
 }
 
+// RawData returns the row-major backing slice (not a copy), for kernels
+// that index it directly.
+func (m *Dense) RawData() []complex128 { return m.data }
+
 func (m *Dense) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("cmat: index (%d,%d) out of range for %dx%d", i, j, m.rows, m.cols))
@@ -127,28 +131,18 @@ func (m *Dense) MulVec(x []complex128) []complex128 {
 	return out
 }
 
-// ConjT returns the conjugate transpose (Hermitian adjoint) of m.
-func (m *Dense) ConjT() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
-		}
-	}
-	return t
-}
-
 // IsHermitian reports whether m equals its conjugate transpose within tol.
 func (m *Dense) IsHermitian(tol float64) bool {
 	if m.rows != m.cols {
 		return false
 	}
+	n := m.cols
 	for i := 0; i < m.rows; i++ {
-		if math.Abs(imag(m.At(i, i))) > tol {
+		if math.Abs(imag(m.data[i*n+i])) > tol {
 			return false
 		}
-		for j := i + 1; j < m.cols; j++ {
-			if cmplx.Abs(m.At(i, j)-cmplx.Conj(m.At(j, i))) > tol {
+		for j := i + 1; j < n; j++ {
+			if cmplx.Abs(m.data[i*n+j]-cmplx.Conj(m.data[j*n+i])) > tol {
 				return false
 			}
 		}
@@ -220,22 +214,32 @@ func EigenHermitian(h *Dense) (vals []float64, vecs *Dense, err error) {
 	if !h.IsHermitian(1e-9 * (1 + h.MaxAbs())) {
 		return nil, nil, fmt.Errorf("cmat: matrix is not Hermitian")
 	}
-	// Build the 2n-by-2n real embedding.
-	m := mat.NewDense(2*n, 2*n)
+	// Build the 2n-by-2n real embedding, writing the row-major data
+	// directly.
+	n2 := 2 * n
+	m := mat.NewDense(n2, n2)
+	md := m.RawData()
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a := real(h.At(i, j))
-			b := imag(h.At(i, j))
-			m.Set(i, j, a)
-			m.Set(i+n, j+n, a)
-			m.Set(i, j+n, -b)
-			m.Set(i+n, j, b)
+		for j, hij := range h.data[i*n : (i+1)*n] {
+			a := real(hij)
+			b := imag(hij)
+			md[i*n2+j] = a
+			md[(i+n)*n2+j+n] = a
+			md[i*n2+j+n] = -b
+			md[(i+n)*n2+j] = b
 		}
 	}
 	// Symmetrize exactly: the embedding is symmetric in exact arithmetic
 	// because H is Hermitian, but round the residual asymmetry away so the
-	// Jacobi routine's symmetry check passes.
-	m = m.Add(m.T()).Scale(0.5)
+	// Jacobi routine's symmetry check passes. In place, element for
+	// element what (M + Mᵀ)·0.5 computes.
+	for i := 0; i < n2; i++ {
+		for j := i; j < n2; j++ {
+			a, b := md[i*n2+j], md[j*n2+i]
+			md[i*n2+j] = (a + b) * 0.5
+			md[j*n2+i] = (b + a) * 0.5
+		}
+	}
 	rvals, rvecs, err := mat.EigenSym(m)
 	if err != nil {
 		return nil, nil, err
@@ -253,15 +257,16 @@ func EigenHermitian(h *Dense) (vals []float64, vecs *Dense, err error) {
 	// k, scan candidate real columns whose eigenvalue matches vals[k] and
 	// accept the first whose complex image survives Gram-Schmidt against
 	// the vectors already extracted in the same (near-)degenerate cluster.
+	rv, vd := rvecs.RawData(), vecs.data
+	v := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		extracted := false
-		for cand := 0; cand < 2*n && !extracted; cand++ {
+		for cand := 0; cand < n2 && !extracted; cand++ {
 			if math.Abs(rvals[cand]-vals[k]) > 1e-6*(1+math.Abs(vals[k])) {
 				continue
 			}
-			v := make([]complex128, n)
 			for i := 0; i < n; i++ {
-				v[i] = complex(rvecs.At(i, cand), rvecs.At(i+n, cand))
+				v[i] = complex(rv[i*n2+cand], rv[(i+n)*n2+cand])
 			}
 			if vecNorm(v) < 1e-8 {
 				continue
@@ -273,15 +278,15 @@ func EigenHermitian(h *Dense) (vals []float64, vecs *Dense, err error) {
 				}
 				var dot complex128
 				for i := 0; i < n; i++ {
-					dot += cmplx.Conj(vecs.At(i, p)) * v[i]
+					dot += cmplx.Conj(vd[i*n+p]) * v[i]
 				}
 				for i := 0; i < n; i++ {
-					v[i] -= dot * vecs.At(i, p)
+					v[i] -= dot * vd[i*n+p]
 				}
 			}
 			if nv := vecNorm(v); nv > 1e-7 {
 				for i := 0; i < n; i++ {
-					vecs.Set(i, k, v[i]/complex(nv, 0))
+					vd[i*n+k] = v[i] / complex(nv, 0)
 				}
 				extracted = true
 			}

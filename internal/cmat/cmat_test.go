@@ -177,3 +177,16 @@ func TestMulVec(t *testing.T) {
 		t.Fatalf("MulVec = %v", got)
 	}
 }
+
+// ConjT has no caller outside the tests.
+
+// ConjT returns the conjugate transpose (Hermitian adjoint) of m.
+func (m *Dense) ConjT() *Dense {
+	t := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
+		}
+	}
+	return t
+}

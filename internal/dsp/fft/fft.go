@@ -17,17 +17,26 @@ import (
 // Any length is accepted; power-of-two lengths use radix-2, others use
 // Bluestein. The input is not modified.
 func Forward(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
+	out := make([]complex128, len(x))
 	copy(out, x)
-	if isPow2(n) {
-		radix2(out, false)
-		return out
+	ForwardInPlace(out)
+	return out
+}
+
+// ForwardInPlace overwrites x with its DFT. Power-of-two lengths
+// transform in place and allocate nothing; other lengths run Bluestein's
+// allocating path and copy the result back.
+func ForwardInPlace(x []complex128) {
+	switch {
+	case len(x) == 0:
+	case isPow2(len(x)):
+		radix2(x, false)
+	default:
+		copy(x, bluestein(x, false))
 	}
-	return bluestein(out, false)
 }
 
 // Inverse returns the inverse DFT with 1/N normalization, so
@@ -66,13 +75,18 @@ func ForwardReal(x []float64) []complex128 {
 func FreqBins(n int, fs float64) []float64 {
 	out := make([]float64, n)
 	for k := range out {
-		if k <= n/2 {
-			out[k] = float64(k) * fs / float64(n)
-		} else {
-			out[k] = float64(k-n) * fs / float64(n)
-		}
+		out[k] = BinFreq(k, n, fs)
 	}
 	return out
+}
+
+// BinFreq returns element k of FreqBins(n, fs) without building the
+// slice.
+func BinFreq(k, n int, fs float64) float64 {
+	if k <= n/2 {
+		return float64(k) * fs / float64(n)
+	}
+	return float64(k-n) * fs / float64(n)
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

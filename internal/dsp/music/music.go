@@ -173,25 +173,29 @@ func Covariance(x []complex128, m int) (*cmat.Dense, error) {
 	if n < m {
 		return nil, fmt.Errorf("music: %d samples < order %d", n, m)
 	}
-	r := cmat.NewDense(m, m)
+	r := make([]complex128, m*m) // row-major
 	count := 0
 	for s := 0; s+m <= n; s++ {
 		snap := x[s : s+m]
 		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				r.Set(i, j, r.At(i, j)+snap[i]*cmplx.Conj(snap[j]))
+			row := r[i*m : (i+1)*m]
+			for j := range row {
+				row[j] += snap[i] * cmplx.Conj(snap[j])
 			}
 		}
 		count++
 	}
 	inv := complex(1/float64(count), 0)
-	r = r.Scale(inv)
+	for i := range r {
+		r[i] *= inv
+	}
 	// Forward-backward averaging: R_fb = (R + J * conj(R) * J) / 2 with J
 	// the exchange matrix.
 	fb := cmat.NewDense(m, m)
+	fd := fb.RawData()
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
-			fb.Set(i, j, (r.At(i, j)+cmplx.Conj(r.At(m-1-i, m-1-j)))/2)
+			fd[i*m+j] = (r[i*m+j] + cmplx.Conj(r[(m-1-i)*m+(m-1-j)])) / 2
 		}
 	}
 	return fb, nil

@@ -318,7 +318,7 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 	}
 	for i := 0; i < m.rows; i++ {
 		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+			if math.Abs(m.data[i*m.cols+j]-m.data[j*m.cols+i]) > tol {
 				return false
 			}
 		}

@@ -33,12 +33,13 @@ func EigenSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 			break
 		}
 		for p := 0; p < n-1; p++ {
+			rowP := m.data[p*n : (p+1)*n]
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := rowP[q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app, aqq := m.At(p, p), m.At(q, q)
+				app, aqq := rowP[p], m.data[q*n+q]
 				// Compute the Jacobi rotation that annihilates apq.
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -61,7 +62,7 @@ func EigenSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	}
 	ps := make([]pair, n)
 	for i := range ps {
-		ps[i] = pair{m.At(i, i), i}
+		ps[i] = pair{m.data[i*n+i], i}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].val < ps[j].val })
 	vals = make([]float64, n)
@@ -69,40 +70,52 @@ func EigenSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	for k, p := range ps {
 		vals[k] = p.val
 		for i := 0; i < n; i++ {
-			vecs.Set(i, k, v.At(i, p.col))
+			vecs.data[i*n+k] = v.data[i*n+p.col]
 		}
 	}
 	return vals, vecs, nil
 }
 
 // applyJacobi applies the rotation G(p,q,theta) with cosine c and sine s to
-// m (two-sided, preserving symmetry) and accumulates it into v.
+// the n-by-n matrix m (two-sided, preserving symmetry) and accumulates it
+// into v, indexing the row-major data directly: columns p and q of every
+// row, then rows p and q, then columns p and q of v.
+//
+//safesense:hotpath
 func applyJacobi(m, v *Dense, p, q int, c, s float64) {
 	n := m.rows
 	for i := 0; i < n; i++ {
-		mip, miq := m.At(i, p), m.At(i, q)
-		m.Set(i, p, c*mip-s*miq)
-		m.Set(i, q, s*mip+c*miq)
+		row := m.data[i*n : (i+1)*n]
+		mip, miq := row[p], row[q]
+		row[p] = c*mip - s*miq
+		row[q] = s*mip + c*miq
 	}
+	rowP := m.data[p*n : (p+1)*n]
+	rowQ := m.data[q*n : (q+1)*n]
 	for j := 0; j < n; j++ {
-		mpj, mqj := m.At(p, j), m.At(q, j)
-		m.Set(p, j, c*mpj-s*mqj)
-		m.Set(q, j, s*mpj+c*mqj)
+		mpj, mqj := rowP[j], rowQ[j]
+		rowP[j] = c*mpj - s*mqj
+		rowQ[j] = s*mpj + c*mqj
 	}
 	for i := 0; i < n; i++ {
-		vip, viq := v.At(i, p), v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
+		row := v.data[i*n : (i+1)*n]
+		vip, viq := row[p], row[q]
+		row[p] = c*vip - s*viq
+		row[q] = s*vip + c*viq
 	}
 }
 
+// offDiagNorm returns the Frobenius norm of m's off-diagonal part.
+//
+//safesense:hotpath
 func offDiagNorm(m *Dense) float64 {
 	n := m.rows
 	s := 0.0
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		row := m.data[i*n : (i+1)*n]
+		for j, x := range row {
 			if i != j {
-				s += m.At(i, j) * m.At(i, j)
+				s += x * x
 			}
 		}
 	}

@@ -126,3 +126,35 @@ func TestCauchySchwarzProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Norm2 and NormInf have no caller outside the tests.
+
+// Norm2 returns the Euclidean norm of x.
+func Norm2(x []float64) float64 {
+	// Scaled accumulation avoids overflow for large components.
+	scale, ssq := 0.0, 1.0
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		a := math.Abs(v)
+		if scale < a {
+			ssq = 1 + ssq*(scale/a)*(scale/a)
+			scale = a
+		} else {
+			ssq += (a / scale) * (a / scale)
+		}
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// NormInf returns the maximum absolute component of x.
+func NormInf(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}

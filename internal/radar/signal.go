@@ -36,13 +36,13 @@ func (p Params) SynthesizeSweep(d, vRel float64, n int, src *noise.Source) (Swee
 	}
 	fbUp, fbDown := p.BeatFrequencies(d, vRel)
 	amp := math.Sqrt(p.ReceivedPower(d, p.TargetRCS))
-	up := tone(n, fbUp, p.SampleRateHz, amp)
-	down := tone(n, fbDown, p.SampleRateHz, amp)
+	nf := 0.0
 	if src != nil {
-		nf := p.NoiseFloor()
-		up = addNoise(up, nf, src)
-		down = addNoise(down, nf, src)
+		nf = p.NoiseFloor()
 	}
+	// The up segment takes its noise draws before the down segment.
+	up := noisyTone(n, fbUp, p.SampleRateHz, amp, nf, src)
+	down := noisyTone(n, fbDown, p.SampleRateHz, amp, nf, src)
 	return Sweep{Up: up, Down: down, Fs: p.SampleRateHz}, nil
 }
 
@@ -57,11 +57,18 @@ func (p Params) SynthesizeSilence(n int, src *noise.Source) Sweep {
 	}
 }
 
-func tone(n int, f, fs, amp float64) []complex128 {
+// noisyTone returns n samples of the complex tone amp·e^{j2πfi/fs} with,
+// when src is non-nil, circularly-symmetric Gaussian noise of the given
+// power added to each sample in order — tone and noise written into one
+// buffer.
+func noisyTone(n int, f, fs, amp, noisePower float64, src *noise.Source) []complex128 {
 	x := make([]complex128, n)
 	w := 2 * math.Pi * f / fs
 	for i := range x {
 		x[i] = cmplx.Rect(amp, w*float64(i))
+		if src != nil {
+			x[i] += src.ComplexGaussian(noisePower)
+		}
 	}
 	return x
 }
@@ -95,21 +102,51 @@ type FFTExtractor struct{}
 // Name implements BeatExtractor.
 func (FFTExtractor) Name() string { return "fft" }
 
-// Extract implements BeatExtractor.
+// Extract implements BeatExtractor on a throwaway workspace; a
+// SignalFrontEnd runs the same code on the workspace it keeps for the run.
 func (FFTExtractor) Extract(s Sweep) (float64, float64, error) {
-	w := window.Hann(len(s.Up))
-	fbUp, err := spectrum.DominantFrequency(s.Up, w, s.Fs)
-	if err != nil {
-		return 0, 0, fmt.Errorf("radar: up-segment: %w", err)
+	var ws fftWorkspace
+	return ws.extract(s)
+}
+
+// fftWorkspace is the FFT extractor's scratch: the Hann-windowed
+// periodogram workspace for the segment length last seen. The zero value
+// is ready to use.
+type fftWorkspace struct {
+	ps *spectrum.Workspace
+}
+
+// segment returns the periodogram workspace for n-sample segments,
+// rebuilding it only when the length changes.
+func (w *fftWorkspace) segment(n int) *spectrum.Workspace {
+	if w.ps == nil || w.ps.Len() != n {
+		w.ps = spectrum.NewWorkspace(window.Hann(n))
 	}
-	if len(s.Down) != len(s.Up) {
-		w = window.Hann(len(s.Down))
-	}
-	fbDown, err := spectrum.DominantFrequency(s.Down, w, s.Fs)
+	return w.ps
+}
+
+// extract is FFTExtractor.Extract on this workspace. Once the workspace
+// is sized it allocates nothing (power-of-two segments) unless a segment
+// has no spectral peak.
+//
+//safesense:hotpath
+func (w *fftWorkspace) extract(s Sweep) (float64, float64, error) {
+	fbUp, err := w.segment(len(s.Up)).DominantFrequency(s.Up, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: down-segment: %w", err)
+		//safesense:allow hotpathalloc error path: wrapping runs only when a segment has no peak
+		return 0, 0, segmentError("up", err)
+	}
+	fbDown, err := w.segment(len(s.Down)).DominantFrequency(s.Down, s.Fs)
+	if err != nil {
+		//safesense:allow hotpathalloc error path: wrapping runs only when a segment has no peak
+		return 0, 0, segmentError("down", err)
 	}
 	return fbUp, fbDown, nil
+}
+
+// segmentError names the sweep segment whose extraction failed.
+func segmentError(segment string, err error) error {
+	return fmt.Errorf("radar: %s-segment: %w", segment, err)
 }
 
 // MUSICExtractor estimates each segment's beat frequency with root-MUSIC,
@@ -135,11 +172,11 @@ func (m MUSICExtractor) Extract(s Sweep) (float64, float64, error) {
 	}
 	fbUp, err := segmentFreq(est, s.Up, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: up-segment: %w", err)
+		return 0, 0, segmentError("up", err)
 	}
 	fbDown, err := segmentFreq(est, s.Down, s.Fs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("radar: down-segment: %w", err)
+		return 0, 0, segmentError("down", err)
 	}
 	return fbUp, fbDown, nil
 }

@@ -32,6 +32,10 @@ type SignalFrontEnd struct {
 	Samples int
 
 	src *noise.Source
+	// fft is the run's FFT-extractor workspace, used when Extractor is
+	// FFTExtractor. It lives here, not in the extractor value, because
+	// one Extractor may be shared by concurrent runs.
+	fft fftWorkspace
 }
 
 // NewSignalFrontEnd validates and builds the signal-level front end.
@@ -82,7 +86,7 @@ func (f *SignalFrontEnd) Measure(k int, s Sweep, challenge bool) Measurement {
 	if m.Power <= f.ZeroThreshold() {
 		return m // quiet channel: zero output
 	}
-	fbUp, fbDown, err := f.Extractor.Extract(s)
+	fbUp, fbDown, err := f.extract(s)
 	if err != nil {
 		// Extraction failure on a hot channel: report saturated garbage
 		// (the controller-facing equivalent of a blinded receiver).
@@ -95,6 +99,15 @@ func (f *SignalFrontEnd) Measure(k int, s Sweep, challenge bool) Measurement {
 	m.Distance = clampF(d, 0, maxD)
 	m.RelVelocity = clampF(v, -60, 60)
 	return m
+}
+
+// extract runs the configured beat extractor, the FFT one on the front
+// end's own workspace.
+func (f *SignalFrontEnd) extract(s Sweep) (float64, float64, error) {
+	if _, ok := f.Extractor.(FFTExtractor); ok {
+		return f.fft.extract(s)
+	}
+	return f.Extractor.Extract(s)
 }
 
 // Observe is the convenience composition for attack-free operation.
@@ -152,7 +165,7 @@ func AddNoiseSweep(s Sweep, power float64, src *noise.Source) Sweep {
 func AddToneSweep(s Sweep, freq, power float64) Sweep {
 	amp := math.Sqrt(power)
 	n := len(s.Up)
-	t := tone(n, freq, s.Fs, amp)
+	t := noisyTone(n, freq, s.Fs, amp, 0, nil)
 	add := func(x []complex128) []complex128 {
 		out := make([]complex128, len(x))
 		for i, v := range x {

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"safesense/internal/radar"
+)
 
 // Zero-allocation guards for the //safesense:hotpath flight-recorder
 // functions: the hotpathalloc analyzer forbids the static allocation
@@ -82,6 +86,29 @@ func TestClosedFormRunAllocsBounded(t *testing.T) {
 		})
 		if avg > maxClosedFormRunAllocs {
 			t.Errorf("%s: %v allocs per run, want at most %d", s.Name, avg, maxClosedFormRunAllocs)
+		}
+	}
+}
+
+// maxSignalLevelRunAllocs caps the heap allocations of one FFT
+// signal-level figure run. The periodogram runs in the front end's
+// per-run workspace, so what remains is one buffer per sweep segment
+// (the sweep is the caller's to keep), the attack's corrupted copies and
+// the per-run constant: 970–980 per figure scenario when the cap was set,
+// from about 10,400 when every extraction built its window, FFT input,
+// spectrum, PSD, bin table and candidate list afresh.
+const maxSignalLevelRunAllocs = 1080
+
+func TestSignalLevelRunAllocsBounded(t *testing.T) {
+	for _, s := range []Scenario{Fig2aDoS(), Fig2bDelay(), Fig3aDoS(), Fig3bDelay()} {
+		s = signalLevel(s, radar.FFTExtractor{})
+		avg := testing.AllocsPerRun(5, func() {
+			if _, err := Run(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > maxSignalLevelRunAllocs {
+			t.Errorf("%s: %v allocs per run, want at most %d", s.Name, avg, maxSignalLevelRunAllocs)
 		}
 	}
 }
